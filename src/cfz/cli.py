@@ -3,7 +3,8 @@ local factor assembly, and the verification suites.
 
 Output is deterministic: records are sorted by prime, JSON keys are
 sorted, and the cache never changes bytes.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error.
+1 verification failure (including any ArithmeticError: counts the
+mathematics rules out), 2 usage or parse error.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .counting import (CountBudgetError, KNOWN_S_COUNTS, VarietySpec,
                        count_pairsum_convolution, count_fermat_cubic,
                        count_points_generic, smoothness_scan,
                        pairsum_groups, group_value_histogram)
-from .fields import is_prime
+from .fields import check_good_prime, is_good_prime, is_prime
 from .fourfold import (automorphism_subgroup, identity_map, pair_shear_generator,
                        pair_swap_generator, random_map_identity_check,
                        verify_pfaffian_map_identity)
@@ -41,14 +42,11 @@ def _parse_primes(text: str):
         if ".." in token:
             lo, hi = token.split("..", 1)
             for n in range(int(lo), int(hi) + 1):
-                if is_prime(n) and n not in (2, 3):
+                if is_good_prime(n):
                     primes.append(n)
         else:
             n = int(token)
-            if not is_prime(n):
-                raise UsageError(f"{n} is not prime")
-            if n in (2, 3):
-                raise UsageError(f"bad prime {n}: characteristic 2 and 3 are excluded")
+            check_good_prime(n)
             primes.append(n)
     if not primes:
         raise UsageError("no usable primes given")
@@ -138,8 +136,7 @@ def cmd_identify(args):
 
 def cmd_zeta(args):
     p = args.prime
-    if not is_prime(p) or p in (2, 3):
-        raise UsageError(f"bad prime {p}")
+    check_good_prime(p)
     cache = None if args.no_cache else CountCache(args.cache)
     spec = builtin_variety("S")
     n1 = count_variety(spec, p, cache=cache).count
@@ -374,6 +371,8 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--cache", default=None, help="cache path (default CFZ_CACHE)")
         sp.add_argument("--no-cache", action="store_true", help="disable the count cache")
+
+    def add_format(sp):
         sp.add_argument("--format", choices=("tsv", "json"), default="json")
 
     sp = sub.add_parser("count", help="count points of a variety")
@@ -386,11 +385,13 @@ def build_parser():
     sp.add_argument("--budget", type=int, default=None,
                     help="enumeration budget (default CFZ_BUDGET or 1e9)")
     add_common(sp)
+    add_format(sp)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("trace-table", help="surface counts, residues and form coefficients")
     sp.add_argument("--primes", required=True)
     add_common(sp)
+    add_format(sp)
     sp.set_defaults(func=cmd_trace_table)
 
     sp = sub.add_parser("identify", help="identify the form from count residues")
@@ -439,10 +440,10 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as e:
+    except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CountBudgetError, ValueError, ArithmeticError, OSError) as e:
+        return 1
+    except (UsageError, CountBudgetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .counting import builtin_variety, count_fermat_cubic, count_pairsum_convolution
-from .fields import is_prime
+from .fields import check_good_prime, is_prime
 
 
 class CrossOracleError(ArithmeticError):
@@ -150,8 +150,7 @@ def cornacchia_4p(p: int) -> CornacchiaSolution:
 
 def ap_base(p: int) -> int:
     """Coefficient of the base form: 0 at inert primes, (L^2 - 27 M^2)/2 at split ones."""
-    if not is_prime(p) or p in (2, 3):
-        raise ValueError(f"bad prime {p}: a_2 and a_3 are out of scope")
+    check_good_prime(p)
     if p % 3 == 2:
         return 0
     sol = cornacchia_4p(p)
@@ -308,8 +307,7 @@ def identify_form(residues) -> IdentificationResult:
     """
     pairs = []
     for p, r in residues:
-        if not is_prime(p) or p in (2, 3):
-            raise ValueError(f"bad prime {p} in residue list")
+        check_good_prime(p)
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p = {p}")
         pairs.append((p, r))

@@ -1,20 +1,24 @@
 """Point counting for varieties in products of projective spaces.
 
-Three counters with very different shapes, kept deliberately independent
-so they can cross-check each other:
+Every counter here works on integer encodings of field elements and does
+its arithmetic through the one table set of ``fields.field_tables``
+(mul, add, neg, inv, chi); ``FieldElement`` objects appear only in the
+return values of ``points_on_variety`` and ``smoothness_scan``.  Three
+counters with very different shapes, kept deliberately independent so
+they can cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and evaluates every defining
-  polynomial.  Field arithmetic is table-driven (exact integer encodings
-  gathered through numpy), so the 6M-point run for the builtin surface
-  over GF(49) takes seconds.
+  polynomial, gathering table entries through numpy, so the 6M-point run
+  for the builtin surface over GF(49) takes seconds.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
   for each point of the first P^2 the second equation cuts a line in the
   second P^2, and the first equation restricts to a binary quadratic on
   that line, counted by the quadratic character of its discriminant.
   Fibers where the restriction vanishes identically contribute a full
-  line of q + 1 points.
+  line of q + 1 points.  One loop over list tables serves GF(p) and
+  GF(p^2).
 
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
   sum of forms in disjoint variable groups of size at most two (the
@@ -35,9 +39,8 @@ from itertools import product
 
 import numpy as np
 
-from .fields import (field_of_order, is_prime, enumerate_projective,
-                     projective_cardinality, projective_points,
-                     quadratic_root_count)
+from .fields import (check_good_prime, enumerate_projective, field_of_order,
+                     field_tables, projective_cardinality)
 from .polynomials import MultiHomPoly, parse_poly
 
 DEFAULT_BUDGET = 10 ** 9
@@ -151,47 +154,37 @@ def builtin_variety(name: str) -> VarietySpec:
     return VarietySpec.from_dict(_BUILTIN_SOURCES[name])
 
 
+@lru_cache(maxsize=None)
+def _builtin_s_sha() -> str:
+    """Content hash of the builtin surface, computed once on first use."""
+    return builtin_variety("S").sha()
+
+
 # ---------------------------------------------------------------------------
 # generic oracle over the full product of projective spaces
 
-@lru_cache(maxsize=None)
-def _field_tables(field):
-    """(mul, add) tables on integer encodings, exact, shape (q, q)."""
-    q = field.order
-    elems = [field.from_encoding(e) for e in range(q)]
-    mul = np.zeros((q, q), dtype=np.int64)
-    add = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j in range(i, q):
-            b = elems[j]
-            m = (a * b).encoding
-            s = (a + b).encoding
-            mul[i, j] = mul[j, i] = m
-            add[i, j] = add[j, i] = s
-    return mul, add
+def _block_point_arrays(q, dims):
+    return [np.array(list(enumerate_projective(q, n)), dtype=np.int64) for n in dims]
 
 
-def _block_point_arrays(field, dims):
-    return [np.array(list(enumerate_projective(field.order, n)), dtype=np.int64)
-            for n in dims]
+def _monomial_values(exps, coords, mul):
+    """Encodings of the monomial with exponents exps at each row of coords."""
+    mono = np.ones(len(coords), dtype=np.int64)
+    for i, e in enumerate(exps):
+        for _ in range(e):
+            mono = mul[mono, coords[:, i]]
+    return mono
 
 
-def _poly_values_on_grid(mh: MultiHomPoly, pts, field, mul, add):
+def _poly_values_on_grid(mh: MultiHomPoly, pts, p, tables):
     """Evaluate one multihomogeneous polynomial on the full product grid."""
+    mul, add = tables.mul, tables.add
     nblocks = len(pts)
-    slices = mh.block_slices()
     acc = None
     for exps, coeff in mh.poly.sorted_terms():
-        block_monos = []
-        for b, (lo, hi) in enumerate(slices):
-            mono = np.full(len(pts[b]), field.one().encoding, dtype=np.int64)
-            for local, e in enumerate(exps[lo:hi]):
-                col = pts[b][:, local]
-                for _ in range(e):
-                    mono = mul[mono, col]
-            block_monos.append(mono)
-        c_enc = field.element(coeff).encoding
-        block_monos[0] = mul[c_enc, block_monos[0]]
+        block_monos = [_monomial_values(exps[lo:hi], pts[b], mul)
+                       for b, (lo, hi) in enumerate(mh.block_slices())]
+        block_monos[0] = mul[coeff % p, block_monos[0]]
         grid = block_monos[0].reshape([-1] + [1] * (nblocks - 1))
         for b in range(1, nblocks):
             shape = [1] * nblocks
@@ -201,13 +194,12 @@ def _poly_values_on_grid(mh: MultiHomPoly, pts, field, mul, add):
     return acc
 
 
-def _zero_mask(spec, field, pts, mul, add):
+def _zero_mask(spec, pts, p, tables):
     mask = None
     for mh in spec.polys:
         if mh.poly.is_zero:
             continue
-        vals = _poly_values_on_grid(mh, pts, field, mul, add)
-        m = vals == 0
+        m = _poly_values_on_grid(mh, pts, p, tables) == 0
         mask = m if mask is None else mask & m
     return mask
 
@@ -229,77 +221,80 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     """Exact point count by full enumeration of the product of canonical points."""
     field = field_of_order(q)
     total = _check_budget(spec, q, budget)
-    mul, add = _field_tables(field)
-    pts = _block_point_arrays(field, spec.ambient)
-    mask = _zero_mask(spec, field, pts, mul, add)
+    pts = _block_point_arrays(q, spec.ambient)
+    mask = _zero_mask(spec, pts, field.char, field_tables(field))
     count = total if mask is None else int(mask.sum())
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
-def points_on_variety(spec: VarietySpec, q: int, budget=None):
-    """All rational points, as tuples (one per block) of field-element tuples."""
+def _rational_points(spec: VarietySpec, q: int, budget):
+    """The field, its table set, and the encodings of all rational points:
+    one row per point, the coordinates of all blocks side by side."""
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    mul, add = _field_tables(field)
-    pts = _block_point_arrays(field, spec.ambient)
-    mask = _zero_mask(spec, field, pts, mul, add)
+    tables = field_tables(field)
+    pts = _block_point_arrays(q, spec.ambient)
+    mask = _zero_mask(spec, pts, field.char, tables)
     if mask is None:
-        idx_iter = product(*(range(len(a)) for a in pts))
-    else:
-        idx_iter = (tuple(row) for row in np.argwhere(mask))
+        mask = np.ones([len(a) for a in pts], dtype=bool)
+    idx = np.argwhere(mask)
+    coords = np.concatenate([a[idx[:, b]] for b, a in enumerate(pts)], axis=1)
+    return field, tables, coords
+
+
+def _as_point(field, row, blocks):
+    """One row of coordinate encodings as a tuple of field-element tuples."""
     out = []
-    for idx in idx_iter:
-        out.append(tuple(
-            tuple(field.from_encoding(int(e)) for e in pts[b][i])
-            for b, i in enumerate(idx)))
-    return out
+    start = 0
+    for b in blocks:
+        out.append(tuple(field.from_encoding(e) for e in row[start:start + len(b)]))
+        start += len(b)
+    return tuple(out)
+
+
+def points_on_variety(spec: VarietySpec, q: int, budget=None):
+    """All rational points, as tuples (one per block) of field-element tuples."""
+    field, _, coords = _rational_points(spec, q, budget)
+    return [_as_point(field, row, spec.blocks) for row in coords.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # fibered counter for the builtin surface S
 
-def _line_basis(c):
-    """Two independent points spanning the zero line of a nonzero linear form
-    c0*u + c1*v + c2*w on P^2."""
-    field = c[0].field
-    one, zero = field.one(), field.zero()
-    if not c[0].is_zero:
-        i = c[1] / c[0]
-        j = c[2] / c[0]
-        return (-i, one, zero), (-j, zero, one)
-    if not c[1].is_zero:
-        return (one, zero, zero), (zero, -(c[2] / c[1]), one)
-    return (one, zero, zero), (zero, one, zero)
-
-
-def _s_fiber_count(xyz) -> int:
-    """Points of S above one [x:y:z]: zeros of the first equation on the
-    line cut by the second."""
+def _s_fiber_count(xyz, tables) -> int:
+    """Points of S above one base point [x:y:z]: zeros of the first equation
+    on the line cut by the second.  Encodings in, list tables."""
+    mul, add, neg, inv, chi = tables
     x, y, z = xyz
-    coeffs = (x * x, y * y, z * z)
-    b1, b2 = _line_basis(coeffs)
-    qa = x * b1[0] * b1[0] + y * b1[1] * b1[1] + z * b1[2] * b1[2]
-    qc = x * b2[0] * b2[0] + y * b2[1] * b2[1] + z * b2[2] * b2[2]
-    cross = x * b1[0] * b2[0] + y * b1[1] * b2[1] + z * b1[2] * b2[2]
-    return quadratic_root_count(qa, cross + cross, qc)
+    c0, c1, c2 = mul[x][x], mul[y][y], mul[z][z]
+    # two points spanning the line c0*u + c1*v + c2*w = 0
+    if c0:
+        s = inv[c0]
+        b1, b2 = (neg[mul[c1][s]], 1, 0), (neg[mul[c2][s]], 0, 1)
+    elif c1:
+        b1, b2 = (1, 0, 0), (0, neg[mul[c2][inv[c1]]], 1)
+    else:
+        b1, b2 = (1, 0, 0), (0, 1, 0)
+
+    def form(u, v):  # polar form of x*u^2 + y*v^2 + z*w^2
+        return add[add[mul[x][mul[u[0]][v[0]]]][mul[y][mul[u[1]][v[1]]]]][
+            mul[z][mul[u[2]][v[2]]]]
+
+    qa, qc, cross = form(b1, b1), form(b2, b2), form(b1, b2)
+    if not (qa or qc or cross):
+        return len(neg) + 1  # the restriction vanishes on the whole line
+    # qa*U^2 + 2*cross*UV + qc*V^2 has discriminant 4*(cross^2 - qa*qc), 4 a square
+    return 1 + chi[add[mul[cross][cross]][neg[mul[qa][qc]]]]
 
 
 def count_S_fibered(p: int, k: int = 1) -> CountRecord:
     """Count S(GF(p^k)) fiberwise over the first P^2; k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError(f"fibered counter supports k in {{1, 2}}, got {k}")
-    field = field_of_order(p ** k)
-    total = sum(_s_fiber_count(pt) for pt in projective_points(field, 2))
+    q = p ** k
+    tables = field_tables(field_of_order(q)).tolist()
+    total = sum(_s_fiber_count(pt, tables) for pt in enumerate_projective(q, 2))
     return CountRecord("S", p, k, total, "fibered")
-
-
-def count_S_fibered_over(field, fibers) -> int:
-    """Partial fibered count over an explicit iterable of base points.
-
-    Summing over any partition of the fiber set reproduces the full count;
-    tests use this to check partition independence.
-    """
-    return sum(_s_fiber_count(pt) for pt in fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +365,7 @@ def _convolve_mod(a, b, p):
 
 def count_pairsum_convolution(spec: VarietySpec, p: int) -> CountRecord:
     """O(p^2) count of a pair-sum hypersurface via histogram convolution."""
-    if not is_prime(p) or p in (2, 3):
-        raise ValueError(f"bad prime {p}: need a prime >= 5")
+    check_good_prime(p)
     mh, groups = pairsum_groups(spec)
     used = {i for var_idx, _ in groups for i in var_idx}
     free = len(spec.blocks[0]) - len(used)
@@ -401,58 +395,54 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
     partial evidence of smoothness, not a proof (singularities may live
     in higher-degree extensions).
     """
-    pts = points_on_variety(spec, q, budget=budget)
-    polys = [mh for mh in spec.polys if not mh.poly.is_zero]
-    npolys = len(polys)
-    names = [v for b in spec.blocks for v in b]
-    partials = [[mh.poly.derivative(i) for i in range(len(names))] for mh in polys]
+    field, tables, coords = _rational_points(spec, q, budget)
+    polys = [mh.poly for mh in spec.polys if not mh.poly.is_zero]
+    # partials[r][c][n]: d(poly r)/d(variable c) at point n
+    partials = [[_values_on_points(f.derivative(c), coords, field.char, tables).tolist()
+                 for c in range(coords.shape[1])] for f in polys]
+    lists = tables.tolist()
     slices = []
     start = 0
     for b in spec.blocks:
         slices.append((start, start + len(b)))
         start += len(b)
     bad = []
-    for point in pts:
-        flat = [x for blockpt in point for x in blockpt]
-        field = flat[0].field
+    for n, row in enumerate(coords.tolist()):
         # local chart: drop the leading (=1) coordinate of each block
         local_cols = []
-        for (lo, hi), blockpt in zip(slices, point):
-            lead = next(i for i, x in enumerate(blockpt) if not x.is_zero)
-            local_cols.extend(lo + i for i in range(len(blockpt)) if i != lead)
-        jac = [[_eval_poly_at(partials[r][c], flat, field) for c in local_cols]
-               for r in range(npolys)]
-        if _rank(jac, field) < npolys:
-            bad.append(point)
+        for lo, hi in slices:
+            lead = next(i for i in range(lo, hi) if row[i])
+            local_cols.extend(i for i in range(lo, hi) if i != lead)
+        jac = [[partials[r][c][n] for c in local_cols] for r in range(len(polys))]
+        if _echelon_rank(jac, lists) < len(polys):
+            bad.append(_as_point(field, row, spec.blocks))
     return bad
 
 
-def _eval_poly_at(poly, values, field):
-    total = field.zero()
+def _values_on_points(poly, coords, p, tables):
+    """Encodings of poly at each row of coords."""
+    acc = np.zeros(len(coords), dtype=np.int64)
     for exps, c in poly.terms.items():
-        v = field.element(c)
-        for x, e in zip(values, exps):
-            if e:
-                v = v * x ** e
-        total = total + v
-    return total
+        acc = tables.add[acc, tables.mul[c % p, _monomial_values(exps, coords, tables.mul)]]
+    return acc
 
 
-def _rank(rows, field):
+def _echelon_rank(rows, tables):
+    """Rank of a matrix of encodings, by row reduction through list tables."""
+    mul, add, neg, inv, _ = tables
     rows = [list(r) for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        s = inv[top[col]]
+        for r in range(rank + 1, len(rows)):
+            f = neg[mul[rows[r][col]][s]]
+            if f:
+                rows[r] = [add[a][mul[f][b]] for a, b in zip(rows[r], top)]
         rank += 1
     return rank
 
@@ -471,12 +461,14 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     (fibered for S, convolution for the k=1 fourfolds) and the generic
     oracle otherwise.
     """
+    sha = spec.sha()
     if cache is not None:
-        hit = cache.get(spec.sha(), p, k)
+        hit = cache.get(sha, p, k)
         if hit is not None:
             return hit
+    is_s = sha == _builtin_s_sha()
     if method == "auto":
-        if spec.to_dict() == builtin_variety("S").to_dict() and k in (1, 2):
+        if is_s and k in (1, 2):
             method = "fibered"
         elif k == 1:
             try:
@@ -487,7 +479,7 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
         else:
             method = "generic"
     if method == "fibered":
-        if spec.to_dict() != builtin_variety("S").to_dict():
+        if not is_s:
             raise ValueError("fibered counter is specific to the builtin surface S")
         rec = count_S_fibered(p, k)
     elif method == "convolution":
@@ -499,5 +491,5 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     else:
         raise ValueError(f"unknown method {method!r}")
     if cache is not None:
-        cache.put(spec.sha(), rec)
+        cache.put(sha, rec)
     return rec

@@ -3,19 +3,25 @@ projective point enumeration.
 
 Fields of characteristic 2 and 3 are rejected at construction: the
 root-counting kernel below needs odd field order, and 3 is the bad prime
-of every identity downstream.  Elements are immutable and carry a
-reference to their field; all operations are pure functions, so values
-can be shared freely across threads.
+of every identity downstream.  ``is_good_prime`` and ``check_good_prime``
+are the one statement of that rule for the whole package.
 
-Extension fields GF(p^k) are represented as GF(p)[x]/(m) for a monic
-irreducible modulus m, by default the lexicographically first one (see
-``find_irreducible``), so that every count is reproducible across runs.
-Elements are stored as canonical coefficient tuples (c0, ..., c_{k-1})
-and also admit an integer encoding sum(c_i * p^i) in [0, p^k), used by
-the table-driven counters.
+GF(p^k) is GF(p)[x]/(m) for a monic irreducible modulus m, by default
+the lexicographically first one (see ``find_irreducible``), so that every
+count is reproducible across runs.  The only stored form of an element is
+its integer encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients
+c_i of its residue class.  One rule on encodings (``FiniteField.add``,
+``neg`` and ``mul``) does all arithmetic: ``FieldElement`` is a thin
+immutable facade over it for the public API, and ``field_tables`` fills
+the counters' lookup tables (mul, add, neg, inv, chi) from it on first
+use.
 """
 
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -36,6 +42,19 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def is_good_prime(p: int) -> bool:
+    """Primes >= 5: characteristic 2 and 3 are excluded throughout."""
+    return p >= 5 and is_prime(p)
+
+
+def check_good_prime(p: int):
+    """Raise FieldError unless p is a good prime."""
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
+    if p < 5:
+        raise FieldError(f"bad prime {p}: characteristic 2 and 3 are excluded")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +161,7 @@ def find_irreducible(p: int, k: int) -> tuple:
     (c0, ..., c_{k-1}) in lexicographic order so the result is
     deterministic.  k = 1 returns x itself.
     """
-    if not is_prime(p) or p in (2, 3):
-        raise FieldError(f"characteristic must be a prime >= 5, got {p}")
+    check_good_prime(p)
     if k < 1:
         raise FieldError(f"extension degree must be >= 1, got {k}")
     if k == 1:
@@ -158,86 +176,35 @@ def find_irreducible(p: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 # fields and elements
 
-class PrimeField:
-    """GF(p) for an odd prime p >= 5."""
+class FiniteField:
+    """GF(p^k) as GF(p)[x]/(modulus), p >= 5, monic irreducible modulus of
+    degree k (x itself for k = 1).
 
-    __slots__ = ("p",)
+    ``add``, ``neg`` and ``mul`` are the field's arithmetic on encodings.
+    They take Python ints or numpy integer arrays alike, so the table set
+    of ``field_tables`` and single elements compute through one rule.
+    """
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        if p in (2, 3):
-            raise FieldError(f"bad prime {p}: characteristic 2 and 3 are excluded")
-        self.p = p
+    __slots__ = ("p", "k", "modulus")
 
-    @property
-    def char(self):
-        return self.p
-
-    @property
-    def degree(self):
-        return 1
-
-    @property
-    def order(self):
-        return self.p
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element from a different field")
-            return value
-        return FieldElement(self, (int(value) % self.p,))
-
-    def zero(self):
-        return FieldElement(self, (0,))
-
-    def one(self):
-        return FieldElement(self, (1,))
-
-    def from_encoding(self, e: int) -> "FieldElement":
-        if not 0 <= e < self.p:
-            raise FieldError(f"encoding {e} out of range for {self!r}")
-        return FieldElement(self, (e,))
-
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, (v,))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class ExtField:
-    """GF(p^k), k >= 2, as GF(p)[x]/(modulus) with a monic irreducible modulus."""
-
-    __slots__ = ("base", "k", "modulus")
-
-    def __init__(self, base, k: int, modulus=None):
-        if isinstance(base, int):
-            base = PrimeField(base)
-        if k < 2:
-            raise FieldError(f"extension degree must be >= 2, got {k} (use PrimeField)")
+    def __init__(self, p: int, k: int = 1, modulus=None):
+        check_good_prime(p)
+        if k < 1:
+            raise FieldError(f"extension degree must be >= 1, got {k}")
         if modulus is None:
-            modulus = find_irreducible(base.p, k)
-        modulus = tuple(c % base.p for c in modulus)
+            modulus = find_irreducible(p, k)
+        modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree k")
-        if not _is_irreducible(list(modulus), base.p):
+        if not _is_irreducible(list(modulus), p):
             raise FieldError("modulus is reducible")
-        self.base = base
+        self.p = p
         self.k = k
         self.modulus = modulus
 
     @property
     def char(self):
-        return self.base.p
+        return self.p
 
     @property
     def degree(self):
@@ -245,53 +212,87 @@ class ExtField:
 
     @property
     def order(self):
-        return self.base.p ** self.k
+        return self.p ** self.k
+
+    def _digits(self, e):
+        return [e // self.p ** i % self.p for i in range(self.k)]
+
+    def _encode(self, coeffs):
+        e = 0
+        for c in reversed(coeffs):
+            e = e * self.p + c % self.p
+        return e
+
+    def add(self, a, b):
+        return self._encode([x + y for x, y in zip(self._digits(a), self._digits(b))])
+
+    def neg(self, a):
+        return self._encode([-x for x in self._digits(a)])
+
+    def mul(self, a, b):
+        """Product of encodings: multiply the coefficient polynomials, then
+        reduce x^d for d >= k through x^k = -(m_0 + ... + m_{k-1} x^{k-1})."""
+        k = self.k
+        da, db = self._digits(a), self._digits(b)
+        prod = [0] * (2 * k - 1)
+        for i in range(k):
+            for j in range(k):
+                prod[i + j] = prod[i + j] + da[i] * db[j]
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % self.p
+            for i in range(k):
+                prod[d - k + i] = prod[d - k + i] - c * self.modulus[i]
+        return self._encode(prod[:k])
 
     def element(self, value) -> "FieldElement":
         """Build an element from an integer (constant embedding) or coefficients."""
-        p = self.base.p
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element from a different field")
             return value
-        if isinstance(value, int):
-            coeffs = (value % p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
-        coeffs = [c % p for c in value]
-        if len(coeffs) > self.k:
-            raise FieldError("too many coefficients")
-        coeffs += [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        if isinstance(value, (tuple, list)):
+            if len(value) > self.k:
+                raise FieldError("too many coefficients")
+            return FieldElement(self, self._encode(value))
+        return FieldElement(self, int(value) % self.p)
 
     def zero(self):
-        return self.element(0)
+        return FieldElement(self, 0)
 
     def one(self):
-        return self.element(1)
+        return FieldElement(self, 1)
 
     def from_encoding(self, e: int) -> "FieldElement":
-        p = self.base.p
         if not 0 <= e < self.order:
             raise FieldError(f"encoding {e} out of range for {self!r}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(e % p)
-            e //= p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, e)
 
     def elements(self):
         for e in range(self.order):
-            yield self.from_encoding(e)
+            yield FieldElement(self, e)
 
     def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.base == self.base
+        return (isinstance(other, FiniteField) and other.p == self.p
                 and other.k == self.k and other.modulus == self.modulus)
 
     def __hash__(self):
-        return hash(("GF", self.base.p, self.k, self.modulus))
+        return hash(("GF", self.p, self.k, self.modulus))
 
     def __repr__(self):
-        return f"GF({self.base.p}^{self.k})"
+        return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
+
+
+def PrimeField(p: int) -> FiniteField:
+    """GF(p) for a prime p >= 5."""
+    return FiniteField(p)
+
+
+def ExtField(base, k: int, modulus=None) -> FiniteField:
+    """GF(p^k), k >= 2, over base = p or GF(p), default modulus from
+    ``find_irreducible``."""
+    if k < 2:
+        raise FieldError(f"extension degree must be >= 2, got {k} (use PrimeField)")
+    return FiniteField(base if isinstance(base, int) else base.p, k, modulus)
 
 
 def field_of_order(q: int):
@@ -313,31 +314,21 @@ def field_of_order(q: int):
         k += 1
     if m != 1:
         raise FieldError(f"{q} is not a prime power")
-    if k == 1:
-        return PrimeField(p)
-    return ExtField(PrimeField(p), k)
+    return FiniteField(p, k)
 
 
 class FieldElement:
-    """Element of GF(p) or GF(p^k), canonical coefficient tuple, immutable."""
+    """Element of GF(p^k): its field and its encoding in [0, p^k), immutable."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "encoding")
 
-    def __init__(self, field, coeffs: tuple):
+    def __init__(self, field, encoding: int):
         self.field = field
-        self.coeffs = coeffs
+        self.encoding = encoding
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def encoding(self) -> int:
-        p = self.field.char
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * p + c
-        return e
+        return self.encoding == 0
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -347,29 +338,18 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.char
-        return FieldElement(self.field,
-                            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.field, self.field.add(self.encoding, other.encoding))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.char
-        return FieldElement(self.field,
-                            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        p = self.field.char
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.field, self.field.neg(self.encoding))
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.char
-        if len(self.coeffs) == 1:
-            return FieldElement(self.field, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _pmul(list(self.coeffs), list(other.coeffs), p)
-        red = _pmod(prod, list(self.field.modulus), p)
-        red += [0] * (self.field.k - len(red))
-        return FieldElement(self.field, tuple(red))
+        return FieldElement(self.field, self.field.mul(self.encoding, other.encoding))
 
     def inverse(self):
         if self.is_zero:
@@ -396,35 +376,47 @@ class FieldElement:
         if isinstance(other, int):
             return self == self.field.element(other)
         return (isinstance(other, FieldElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+                and other.encoding == self.encoding)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.encoding))
 
     def __repr__(self):
-        if len(self.coeffs) == 1:
-            return f"{self.coeffs[0]} in {self.field!r}"
-        return f"{list(self.coeffs)} in {self.field!r}"
+        if self.field.k == 1:
+            return f"{self.encoding} in {self.field!r}"
+        return f"{self.field._digits(self.encoding)} in {self.field!r}"
 
 
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch one arithmetic operation; op in {add, sub, mul, div, pow}.
+class FieldTables(NamedTuple):
+    """The arithmetic of one field on encodings: mul and add of shape
+    (q, q), neg and inv of shape (q,) (inv[0] = 0), and the quadratic
+    character chi of shape (q,)."""
 
-    pow takes an integer exponent as second argument.
-    """
-    if op == "pow":
-        if not isinstance(b, int):
-            raise FieldError("pow expects an integer exponent")
-        return a ** b
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise FieldError(f"unknown operation {op!r}")
+    mul: object
+    add: object
+    neg: object
+    inv: object
+    chi: object
+
+    def tolist(self) -> "FieldTables":
+        """The same tables as nested lists, for scalar indexing in loops."""
+        return FieldTables(*(t.tolist() for t in self))
+
+
+@lru_cache(maxsize=4)
+def field_tables(field) -> FieldTables:
+    """The table set of a field as numpy int64 arrays, filled on first use
+    from the field's own rule.  The cache holds a few fields only, so a
+    sweep over many primes does not keep every q x q table alive."""
+    e = np.arange(field.order, dtype=np.int64)
+    mul = field.mul(e[:, None], e[None, :])
+    add = field.add(e[:, None], e[None, :])
+    inv = np.argmax(mul == 1, axis=1).astype(np.int64)
+    squares = np.zeros(field.order, dtype=bool)
+    squares[np.diagonal(mul)] = True
+    chi = np.where(squares, 1, -1).astype(np.int64)
+    chi[0] = 0
+    return FieldTables(mul, add, field.neg(e), inv, chi)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,16 @@ scope and never guessed.
 
 from dataclasses import dataclass
 
-from .fields import is_prime
+from .fields import check_good_prime
 
 K3_B2 = 22          # second Betti number of a K3 surface
 NS_RANK = 20        # Picard rank of the singular surface S
 FOURFOLD_B4 = 23    # middle Betti number of a cubic fourfold
 
 
-def _check_good_prime(p):
-    if not is_prime(p) or p in (2, 3):
-        raise ValueError(f"bad prime {p}: need a good prime (>= 5)")
+class InconsistentCountError(ArithmeticError, ValueError):
+    """A count or trace that the surface's cohomology cannot produce: the
+    mathematics disagrees, as opposed to malformed input."""
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,17 @@ class TraceRecord:
 
 def trace_from_count(n1: int, p: int) -> TraceRecord:
     """Lefschetz: N1 = 1 + t2 + p^2 for a K3 surface, with |t2| <= 22p."""
-    _check_good_prime(p)
+    check_good_prime(p)
     t2 = n1 - 1 - p * p
     if abs(t2) > K3_B2 * p:
-        raise ValueError(
+        raise InconsistentCountError(
             f"impossible K3 count: |{t2}| > 22*{p} violates the Weil bound")
     return TraceRecord(p, t2, (n1 - 1) % p)
 
 
 def residue_zero_check(p: int, n1: int) -> bool:
     """For inert primes the transcendental trace vanishes mod p."""
-    _check_good_prime(p)
+    check_good_prime(p)
     if p % 3 != 2:
         raise ValueError(f"{p} is not 2 mod 3")
     return (n1 - 1) % p == 0
@@ -71,7 +71,7 @@ def hilbert_square_count(n1: int, n2: int, p: int) -> int:
     exceptional line.  N1^2 + N2 must be even; an odd value cannot come
     from Frobenius-stable pair counting.
     """
-    _check_good_prime(p)
+    check_good_prime(p)
     if (n1 * n1 + n2) % 2 != 0:
         raise ValueError(f"N1^2 + N2 = {n1 * n1 + n2} is odd; inconsistent pair counts")
     return (n1 * n1 + n2) // 2 + p * n1
@@ -79,20 +79,21 @@ def hilbert_square_count(n1: int, n2: int, p: int) -> int:
 
 def fourfold_count_from_surface(n1: int, p: int) -> int:
     """#X(F_p) = 1 + p^2 + p^4 + p*N1 from the middle-cohomology decomposition."""
-    _check_good_prime(p)
+    check_good_prime(p)
     return 1 + p * p + p ** 4 + p * n1
 
 
 def algebraic_trace_split(t2: int, a_p: int, p: int) -> int:
     """Split the H^2 trace as t2 = t_alg + a_p; t_alg must be p times an
     integer of absolute value at most 20."""
-    _check_good_prime(p)
+    check_good_prime(p)
     t_alg = t2 - a_p
     if t_alg % p != 0:
-        raise ValueError(
+        raise InconsistentCountError(
             f"algebraic trace {t_alg} not divisible by p={p}; decomposition inconsistent")
     if abs(t_alg // p) > NS_RANK:
-        raise ValueError(f"|t_alg/p| = {abs(t_alg // p)} exceeds the algebraic rank 20")
+        raise InconsistentCountError(
+            f"|t_alg/p| = {abs(t_alg // p)} exceeds the algebraic rank 20")
     return t_alg
 
 
@@ -127,7 +128,7 @@ def _poly_mul(a, b):
 def local_factor_cm(a_p: int, p: int, tate_shift: int) -> LocalFactor:
     """Degree-2 factor of the CM form, 1 - a_p T + p^2 T^2, with each Tate
     shift multiplying the inverse roots by p."""
-    _check_good_prime(p)
+    check_good_prime(p)
     if abs(a_p) > 2 * p:
         raise ValueError(f"|a_p| = {abs(a_p)} violates the weight-3 bound 2p = {2 * p}")
     if tate_shift not in (0, 1):
@@ -190,7 +191,7 @@ def _ns_split(ns_fixed: int):
 
 def assemble_fourfold_factors(p: int, a_p: int, ns_fixed: int):
     """Local factors P0, P2, P4, P6, P8 of the fourfold at a good prime."""
-    _check_good_prime(p)
+    check_good_prime(p)
     m_plus, m_minus = _ns_split(ns_fixed)
     fourfold_h4_decomposition(p, a_p, ns_fixed)  # validates
     p2 = p * p

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE_ENV = {k: v for k, v in os.environ.items() if k not in ("CFZ_CACHE", "CFZ_BUDGET")}
 
 
@@ -218,3 +220,55 @@ def test_identify_residues_file(tmp_path):
     r = run_cli("identify", "--residues", str(path))
     assert r.returncode == 0
     assert json.loads(r.stdout)["match"] == 0
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name, args", [
+    ("zeta-7", ["zeta", "--prime", "7"]),
+    ("identify-7-40", ["identify", "--primes", "7..40"]),
+    ("count-S-ext2-5-7", ["count", "--variety", "builtin:S", "--ext", "2",
+                          "--primes", "5,7"]),
+    ("count-X-5-31", ["count", "--variety", "builtin:X", "--primes", "5..31"]),
+    ("verify-counts-5-13", ["verify", "--suite", "counts", "--primes", "5..13"]),
+])
+def test_golden_stdout(name, args):
+    # byte-for-byte stdout of the commands, frozen from an earlier release
+    r = run_cli(*args, "--no-cache")
+    assert r.returncode == 0, r.stderr
+    with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8", newline="") as fh:
+        assert r.stdout == fh.read()
+
+
+def test_inconsistent_cached_count_exits_1(tmp_path):
+    # a cache line claiming 178 points for S at p = 7 (the true count is 177)
+    # makes the algebraic trace 141 indivisible by 7: the mathematics
+    # disagrees, which is exit 1, not a usage error
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 178, "method": "fibered"}) + "\n")
+    r = run_cli("zeta", "--prime", "7", "--cache", str(cache))
+    assert r.returncode == 1
+    assert "not divisible" in r.stderr
+    # a malformed --ns-fixed is still bad input
+    r = run_cli("zeta", "--prime", "7", "--ns-fixed", "7", "--no-cache")
+    assert r.returncode == 2
+
+
+def test_format_only_on_count_and_trace_table():
+    for cmd in (["zeta", "--prime", "7"], ["identify", "--primes", "7"],
+                ["verify", "--suite", "forms"]):
+        r = run_cli(*cmd, "--format", "tsv", "--no-cache")
+        assert r.returncode == 2, cmd
+        assert "--format" in r.stderr
+
+
+def test_import_builds_no_tables():
+    code = ("import cfz.cli, cfz.fields; "
+            "print(cfz.fields.field_tables.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=BASE_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"

@@ -5,13 +5,13 @@ import pytest
 
 from cfz.cache import CountCache
 from cfz.counting import (ConvolutionStructureError, CountBudgetError,
-                          CountRecord, VarietySpec, builtin_variety,
-                          count_fermat_cubic, count_pairsum_convolution,
-                          count_points_generic, count_S_fibered,
-                          count_S_fibered_over, count_variety,
+                          CountRecord, VarietySpec, _s_fiber_count,
+                          builtin_variety, count_fermat_cubic,
+                          count_pairsum_convolution, count_points_generic,
+                          count_S_fibered, count_variety,
                           group_value_histogram, pairsum_groups,
                           points_on_variety, smoothness_scan)
-from cfz.fields import field_of_order, projective_points
+from cfz.fields import enumerate_projective, field_of_order, field_tables
 
 S = builtin_variety("S")
 X = builtin_variety("X")
@@ -61,24 +61,26 @@ def test_empty_system_counts_whole_space():
     assert count_points_generic(spec0, 7).count == 57
 
 
+def _fibers(q, pts):
+    tables = field_tables(field_of_order(q)).tolist()
+    return sum(_s_fiber_count(pt, tables) for pt in pts)
+
+
 def test_degenerate_fibers_contribute_whole_lines():
     # above each coordinate point of the base the first equation vanishes
     # identically on the fiber line, contributing q + 1
-    field = field_of_order(7)
-    e = field.element
-    coord_pts = [(e(1), e(0), e(0)), (e(0), e(1), e(0)), (e(0), e(0), e(1))]
-    assert count_S_fibered_over(field, coord_pts) == 3 * 8
+    coord_pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for q in (7, 25):
+        assert _fibers(q, coord_pts) == 3 * (q + 1)
 
 
 def test_fibered_partition_independence():
-    field = field_of_order(11)
-    fibers = list(projective_points(field, 2))
-    total = count_S_fibered(11, 1).count
-    halves = (count_S_fibered_over(field, fibers[:60])
-              + count_S_fibered_over(field, fibers[60:]))
-    interleave = (count_S_fibered_over(field, fibers[::2])
-                  + count_S_fibered_over(field, fibers[1::2]))
-    assert halves == total == interleave
+    for p, k in ((11, 1), (5, 2)):
+        fibers = list(enumerate_projective(p ** k, 2))
+        total = count_S_fibered(p, k).count
+        halves = _fibers(p ** k, fibers[:60]) + _fibers(p ** k, fibers[60:])
+        interleave = _fibers(p ** k, fibers[::2]) + _fibers(p ** k, fibers[1::2])
+        assert halves == total == interleave
 
 
 def test_histogram_conservation():
@@ -183,18 +185,20 @@ def test_points_on_variety_satisfy_equations():
 
 
 def test_smoothness_scan_clean_for_surface():
-    for p in (5, 7):
-        assert smoothness_scan(S, p) == []
+    for q in (5, 7, 25):
+        assert smoothness_scan(S, q) == []
 
 
 def test_smoothness_scan_detects_nodal_curve():
     nodal = VarietySpec.from_dict(
         {"name": "nodal", "ambient": [2], "vars": [["x", "y", "z"]],
          "polys": ["y^2*z-x^3-x^2*z"]})
-    bad = smoothness_scan(nodal, 7)
-    assert len(bad) == 1
-    (blk,), = bad
-    assert [x.encoding for x in blk] == [0, 0, 1]
+    for q in (7, 25, 49):
+        bad = smoothness_scan(nodal, q)
+        assert len(bad) == 1
+        (blk,), = bad
+        assert [x.encoding for x in blk] == [0, 0, 1]
+        assert len(points_on_variety(nodal, q)) == q  # a rational nodal cubic
 
 
 def test_count_record_json_round_trip():

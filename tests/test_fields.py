@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfz.fields import (ExtField, FieldError, PrimeField, enumerate_projective,
-                        field_arith, field_of_order, find_irreducible,
+                        field_of_order, field_tables, find_irreducible,
                         is_prime, projective_cardinality, projective_points,
                         quadratic_character, quadratic_root_count)
 
@@ -38,6 +38,13 @@ def _full_tables(field):
         for j, b in enumerate(elems):
             mul[i, j] = (a * b).encoding
             add[i, j] = (a + b).encoding
+    # the shared table set the counters use must agree with element arithmetic
+    shared = field_tables(field)
+    assert np.array_equal(shared.mul, mul)
+    assert np.array_equal(shared.add, add)
+    assert shared.neg.tolist() == [(-a).encoding for a in elems]
+    assert shared.inv.tolist() == [0] + [a.inverse().encoding for a in elems[1:]]
+    assert shared.chi.tolist() == [quadratic_character(a) for a in elems]
     return elems, mul, add
 
 
@@ -85,20 +92,22 @@ def test_extension_field_alpha_square():
     assert alpha * alpha == f49.element(6)
 
 
-def test_field_arith_dispatch_and_errors():
+def test_operators_and_errors():
     F7 = PrimeField(7)
     a, b = F7.element(3), F7.element(5)
-    assert field_arith(a, b, "add") == F7.element(1)
-    assert field_arith(a, b, "sub") == F7.element(5)
-    assert field_arith(a, b, "mul") == F7.element(1)
-    assert field_arith(a, b, "div") == F7.element(2)  # 3 * 5^-1 = 3 * 3 = 2
-    assert field_arith(a, 2, "pow") == F7.element(2)
+    assert a + b == F7.element(1)
+    assert a - b == F7.element(5)
+    assert a * b == F7.element(1)
+    assert a / b == F7.element(2)  # 3 * 5^-1 = 3 * 3 = 2
+    assert a ** 2 == F7.element(2)
     with pytest.raises(FieldError):
-        field_arith(a, F7.zero(), "div")
+        a / F7.zero()
     with pytest.raises(FieldError):
-        field_arith(a, PrimeField(11).element(1), "add")
+        F7.zero().inverse()
     with pytest.raises(FieldError):
-        field_arith(a, b, "pow")
+        a + PrimeField(11).element(1)
+    with pytest.raises(FieldError):
+        a * 2
 
 
 def test_mixed_extension_fields_rejected():
