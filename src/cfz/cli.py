@@ -19,7 +19,7 @@ from .counting import (CountBudgetError, KNOWN_S_COUNTS, VarietySpec,
                        builtin_variety, count_variety, count_S_fibered,
                        count_pairsum_convolution, count_fermat_cubic,
                        count_points_generic, smoothness_scan,
-                       pairsum_groups, group_value_histogram)
+                       pairsum_groups, group_value_histogram, COUNT_METHODS)
 from .fields import check_good_prime, is_good_prime, is_prime
 from .fourfold import (automorphism_subgroup, identity_map, pair_shear_generator,
                        pair_swap_generator, random_map_identity_check,
@@ -381,7 +381,7 @@ def build_parser():
     sp.add_argument("--ext", type=int, default=1, choices=(1, 2),
                     help="extension degree k (count over GF(p^k))")
     sp.add_argument("--method", default="auto",
-                    choices=("auto", "generic", "fibered", "convolution"))
+                    choices=("auto",) + COUNT_METHODS)
     sp.add_argument("--budget", type=int, default=None,
                     help="enumeration budget (default CFZ_BUDGET or 1e9)")
     add_common(sp)

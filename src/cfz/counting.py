@@ -44,6 +44,7 @@ from .fields import (check_good_prime, enumerate_projective, field_of_order,
 from .polynomials import MultiHomPoly, parse_poly
 
 DEFAULT_BUDGET = 10 ** 9
+COUNT_METHODS = ("generic", "fibered", "convolution")
 
 
 class CountBudgetError(RuntimeError):
@@ -204,10 +205,15 @@ def _zero_mask(spec, pts, p, tables):
     return mask
 
 
-def _check_budget(spec, q, budget):
+def _ambient_points(spec, q) -> int:
     total = 1
     for n in spec.ambient:
         total *= projective_cardinality(q, n)
+    return total
+
+
+def _check_budget(spec, q, budget):
+    total = _ambient_points(spec, q)
     nterms = sum(len(mh.poly.terms) for mh in spec.polys)
     cost = total * max(1, nterms)
     limit = enumeration_budget(budget)
@@ -459,12 +465,15 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
 
     method ``auto`` picks the structured counter for the builtins
     (fibered for S, convolution for the k=1 fourfolds) and the generic
-    oracle otherwise.
+    oracle otherwise.  A cache hit is served only under ``auto`` or when
+    its method is the one asked for, and only if its count fits in the
+    ambient space; otherwise the count is recomputed and appended.
     """
     sha = spec.sha()
     if cache is not None:
         hit = cache.get(sha, p, k)
-        if hit is not None:
+        if (hit is not None and method in ("auto", hit.method)
+                and hit.count <= _ambient_points(spec, p ** k)):
             return hit
     is_s = sha == _builtin_s_sha()
     if method == "auto":

@@ -272,3 +272,26 @@ def test_import_builds_no_tables():
                        env=BASE_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("bad", [
+    {"name": None}, {"count": "abc"}, {"count": -5}, "array",
+], ids=["no-name", "count-abc", "count-negative", "array-line"])
+def test_malformed_cache_record_is_never_served(tmp_path, bad):
+    # each line once crashed a lookup or was served as the count of S at p = 7
+    from cfz.counting import builtin_variety
+    sha = builtin_variety("S").sha()
+    good = {"sha": sha, "name": "S", "p": 7, "k": 1, "count": 177, "method": "fibered"}
+    if bad == "array":
+        lines = [[1, 2], [sha, 7, 1, 178]]
+    else:
+        lines = [{key: value for key, value in {**good, **bad}.items() if value is not None}]
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    r = run_cli("count", "--variety", "builtin:S", "--primes", "7", cache=cache)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 7, "k": 1, "count": 177}
+    assert json.loads(cache.read_text().splitlines()[-1]) == good
+    r = run_cli("zeta", "--prime", "7", cache=cache)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("zeta", "--prime", "7", "--no-cache").stdout
