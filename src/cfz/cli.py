@@ -18,9 +18,9 @@ from .cmforms import (ap_base, ap_via_eisenstein, identify_form,
 from .counting import (CountBudgetError, KNOWN_S_COUNTS, VarietySpec,
                        builtin_variety, count_variety, count_S_fibered,
                        count_pairsum_convolution, count_fermat_cubic,
-                       count_points_generic, smoothness_scan,
+                       count_points_generic, points_on_variety, smoothness_scan,
                        pairsum_groups, group_value_histogram, COUNT_METHODS)
-from .fields import check_good_prime, is_good_prime, is_prime
+from .fields import check_good_prime, field_of_order, is_good_prime, is_prime
 from .fourfold import (automorphism_subgroup, identity_map, pair_shear_generator,
                        pair_swap_generator, random_map_identity_check,
                        verify_pfaffian_map_identity)
@@ -253,12 +253,34 @@ def _suite_identities(primes):
         pred = fourfold_count_from_surface(n1, p)
         checks.append((f"fourfold-count-p{p}", conv == pred,
                        {"convolution": conv, "from_surface": pred}))
-    n1 = count_S_fibered(7, 1).count
-    n2 = count_points_generic(builtin_variety("S"), 49).count
-    hs = hilbert_square_count(n1, n2, 7)
-    checks.append(("hilbert-square-7", hs == (n1 * n1 + n2) // 2 + 7 * n1,
-                   {"N1": n1, "N2": n2, "count": hs}))
+    checks.append(_hilbert_square_orbit_check(7))
     return checks
+
+
+def _hilbert_square_orbit_check(p):
+    """Hilb^2 S over GF(p) counted from the Frobenius orbits of S(GF(p^2)):
+    a GF(p)-point is an unordered pair of rational points, a conjugate
+    pair, or a rational point with one of its p + 1 tangent directions."""
+    n1 = count_S_fibered(p, 1).count
+    pts = [tuple(x.encoding for blk in pt for x in blk)
+           for pt in points_on_variety(builtin_variety("S"), p * p)]
+    field = field_of_order(p * p)
+    frobenius = [(field.from_encoding(e) ** p).encoding for e in range(field.order)]
+    index = {pt: i for i, pt in enumerate(pts)}
+    fixed = conjugate_pairs = 0
+    for i, pt in enumerate(pts):
+        j = index.get(tuple(frobenius[e] for e in pt), -1)
+        fixed += i == j
+        conjugate_pairs += i < j
+    oracle = fixed + fixed * (fixed - 1) // 2 + conjugate_pairs + p * fixed
+    # every point is fixed or in exactly one conjugate pair, and the fixed
+    # points are the rational points the fibered counter counts; then
+    # N1^2 + N2 is even, as the formula needs
+    orbits_ok = fixed + 2 * conjugate_pairs == len(pts) and fixed == n1
+    hs = hilbert_square_count(n1, len(pts), p) if orbits_ok else None
+    return (f"hilbert-square-{p}", orbits_ok and hs == oracle,
+            {"N1": n1, "N2": len(pts), "count": hs, "frobenius_fixed": fixed,
+             "conjugate_pairs": conjugate_pairs, "orbit_count": oracle})
 
 
 def _suite_forms(primes):

@@ -9,8 +9,15 @@ they can cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and evaluates every defining
-  polynomial, gathering table entries through numpy, so the 6M-point run
-  for the builtin surface over GF(49) takes seconds.
+  polynomial, gathering table entries through numpy.  It streams over
+  block 0: each slice of block 0's points, times all points of the later
+  blocks, spans about CHUNK_CELLS = 2^18 grid cells, and block 0 itself
+  is enumerated slice by slice.  Memory is therefore bounded by a few
+  chunk-sized int64 grids plus arrays the size of the later blocks (their
+  points, and each term's monomial values on them): ~7 MiB for the
+  builtin surface over GF(49), whatever the evaluation budget allows.
+  ``points_on_variety`` and ``smoothness_scan`` collect their points
+  through the same slices, in the order of the full enumeration.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
   for each point of the first P^2 the second equation cuts a line in the
@@ -32,10 +39,11 @@ All counts are exact integers; the affine-to-projective step divides
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -44,6 +52,9 @@ from .fields import (check_good_prime, enumerate_projective, field_of_order,
 from .polynomials import MultiHomPoly, parse_poly
 
 DEFAULT_BUDGET = 10 ** 9
+# cells of the product grid the generic oracle evaluates at once; each
+# int64 grid of this size is 2 MiB
+CHUNK_CELLS = 1 << 18
 COUNT_METHODS = ("generic", "fibered", "convolution")
 
 
@@ -177,32 +188,68 @@ def _monomial_values(exps, coords, mul):
     return mono
 
 
-def _poly_values_on_grid(mh: MultiHomPoly, pts, p, tables):
-    """Evaluate one multihomogeneous polynomial on the full product grid."""
-    mul, add = tables.mul, tables.add
-    nblocks = len(pts)
-    acc = None
-    for exps, coeff in mh.poly.sorted_terms():
-        block_monos = [_monomial_values(exps[lo:hi], pts[b], mul)
-                       for b, (lo, hi) in enumerate(mh.block_slices())]
-        block_monos[0] = mul[coeff % p, block_monos[0]]
-        grid = block_monos[0].reshape([-1] + [1] * (nblocks - 1))
-        for b in range(1, nblocks):
-            shape = [1] * nblocks
-            shape[b] = -1
-            grid = mul[grid, block_monos[b].reshape(shape)]
-        acc = grid if acc is None else add[acc, grid]
-    return acc
-
-
-def _zero_mask(spec, pts, p, tables):
-    mask = None
+def _equation_terms(spec, rest, p, mul):
+    """Each nonzero equation as its list of terms (coefficient, block-0
+    exponents, encodings of the term's monomial on each later block's
+    points rest[0], rest[1], ...)."""
+    equations = []
     for mh in spec.polys:
         if mh.poly.is_zero:
             continue
-        m = _poly_values_on_grid(mh, pts, p, tables) == 0
-        mask = m if mask is None else mask & m
-    return mask
+        (lo0, hi0), *slices = mh.block_slices()
+        equations.append([
+            (coeff % p, exps[lo0:hi0],
+             [_monomial_values(exps[lo:hi], pts, mul) for (lo, hi), pts in zip(slices, rest)])
+            for exps, coeff in mh.poly.sorted_terms()])
+    return equations
+
+
+def _poly_values_on_grid(terms, head, tables):
+    """Encodings of one equation on the grid of block-0 points head times
+    all points of the later blocks."""
+    mul, add = tables.mul, tables.add.ravel()
+    q = len(mul)
+    acc = None
+    for coeff, exps0, monos in terms:
+        grid = mul[coeff, _monomial_values(exps0, head, mul)]
+        for m in monos:
+            # the mul-table rows of the grid's values, then their columns m:
+            # one contiguous gather per row, not one per cell
+            grid = mul[grid][..., m]
+        if acc is None:
+            acc = grid
+        else:
+            acc *= q
+            acc += grid
+            acc = add[acc]
+    return acc
+
+
+def _zero_masks(spec, field):
+    """The zero set of the equations, one slice of block 0 at a time.
+
+    Yields (blocks, mask): the point arrays of the slice of block 0 and of
+    every later block, and the boolean grid over their product where every
+    equation vanishes.  A slice spans about CHUNK_CELLS grid cells, and
+    block 0 is enumerated slice by slice, so memory is bounded by the chunk
+    and the later blocks' point arrays, whatever the budget allows."""
+    q = field.order
+    tables = field_tables(field)
+    rest = _block_point_arrays(q, spec.ambient[1:])
+    equations = _equation_terms(spec, rest, field.char, tables.mul)
+    # a later block's gather briefly holds q cells per cell of the grid
+    # before it, which only a P^0 block (one point, fewer than q) makes larger
+    cells = math.prod(max(len(a), q) for a in rest)
+    step = max(1, CHUNK_CELLS // cells)
+    points0 = enumerate_projective(q, spec.ambient[0])
+    while True:
+        head = np.array(list(islice(points0, step)), dtype=np.int64)
+        if not len(head):
+            return
+        mask = np.ones([len(head)] + [len(a) for a in rest], dtype=bool)
+        for terms in equations:
+            mask &= _poly_values_on_grid(terms, head, tables) == 0
+        yield [head] + rest, mask
 
 
 def _ambient_points(spec, q) -> int:
@@ -220,32 +267,27 @@ def _check_budget(spec, q, budget):
     if cost > limit:
         raise CountBudgetError(
             f"{spec.name} over GF({q}): {cost} primitive evaluations exceed budget {limit}")
-    return total
 
 
 def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     """Exact point count by full enumeration of the product of canonical points."""
     field = field_of_order(q)
-    total = _check_budget(spec, q, budget)
-    pts = _block_point_arrays(q, spec.ambient)
-    mask = _zero_mask(spec, pts, field.char, field_tables(field))
-    count = total if mask is None else int(mask.sum())
+    _check_budget(spec, q, budget)
+    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
 def _rational_points(spec: VarietySpec, q: int, budget):
     """The field, its table set, and the encodings of all rational points:
-    one row per point, the coordinates of all blocks side by side."""
+    one row per point, the coordinates of all blocks side by side, in the
+    order of the product enumeration."""
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    tables = field_tables(field)
-    pts = _block_point_arrays(q, spec.ambient)
-    mask = _zero_mask(spec, pts, field.char, tables)
-    if mask is None:
-        mask = np.ones([len(a) for a in pts], dtype=bool)
-    idx = np.argwhere(mask)
-    coords = np.concatenate([a[idx[:, b]] for b, a in enumerate(pts)], axis=1)
-    return field, tables, coords
+    found = []
+    for blocks, mask in _zero_masks(spec, field):
+        idx = np.argwhere(mask)
+        found.append(np.concatenate([a[idx[:, b]] for b, a in enumerate(blocks)], axis=1))
+    return field, field_tables(field), np.concatenate(found)
 
 
 def _as_point(field, row, blocks):
@@ -467,9 +509,12 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     (fibered for S, convolution for the k=1 fourfolds) and the generic
     oracle otherwise.  A cache hit is served only under ``auto`` or when
     its method is the one asked for, and only if its count fits in the
-    ambient space; otherwise the count is recomputed and appended.
+    ambient space; otherwise the count is recomputed.  A count is appended
+    only when the cache holds no record for its key: the first record of a
+    key is the one every lookup reads, so a second could never be served.
     """
     sha = spec.sha()
+    hit = None
     if cache is not None:
         hit = cache.get(sha, p, k)
         if (hit is not None and method in ("auto", hit.method)
@@ -499,6 +544,6 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
         rec = count_points_generic(spec, p ** k, budget=budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if cache is not None:
+    if cache is not None and hit is None:
         cache.put(sha, rec)
     return rec

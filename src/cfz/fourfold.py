@@ -3,14 +3,22 @@ that exhibits it as the image of P^2 x P^2, and the rational automorphism
 subgroups preserving its equation.
 
 Everything here works in the coordinate order (x, u, y, v, z, w) so the
-pairing of the two planes' variables is contiguous, with exact integer or
-rational polynomial arithmetic throughout.
+pairing of the two planes' variables is contiguous.  All arithmetic is
+exact integer arithmetic: the polynomials have integer coefficients, and
+``LinearMapP5`` stores integer matrices, whose products, determinants
+(``linalg.det``, Bareiss elimination) and substitutions into the cubic
+never form a Fraction.  ``normalized()`` scales a matrix to its primitive
+integer representative (entries with gcd 1) whose first nonzero entry is
+positive; for the generators below, whose entries lie in {-1, 0, 1}, that
+is the matrix scaled to a leading 1.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import det
 from .polynomials import Poly
 
 VARS6 = ("x", "u", "y", "v", "z", "w")
@@ -65,48 +73,44 @@ def random_map_identity_check(trials: int = 100, p: int = 101, seed: int = 0) ->
 class LinearMapP5:
     """Invertible 6x6 matrix acting on (x,u,y,v,z,w), considered projectively.
 
-    Normalization scales the matrix so its first nonzero entry (row-major)
-    is 1, which makes projective equality plain tuple equality.
+    Entries are Python ints: Fractions passed in are cleared of their
+    denominators, which does not change the projective map.
+    ``normalized()`` is the primitive integer representative whose first
+    nonzero entry (row-major) is positive, which makes projective equality
+    plain tuple equality.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in r) for r in rows)
+        rows = [[Fraction(e) for e in r] for r in rows]
         if len(rows) != 6 or any(len(r) != 6 for r in rows):
             raise ValueError("need a 6x6 matrix")
-        self.rows = rows
-        if self._det() == 0:
+        den = math.lcm(*(e.denominator for r in rows for e in r))
+        self.rows = tuple(tuple(int(e * den) for e in r) for r in rows)
+        if det(self.rows) == 0:
             raise ValueError("matrix is not invertible")
 
-    def _det(self):
-        mat = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for c in range(6):
-            piv = next((i for i in range(c, 6) if mat[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                mat[c], mat[piv] = mat[piv], mat[c]
-                det = -det
-            det *= mat[c][c]
-            inv = 1 / mat[c][c]
-            for i in range(c + 1, 6):
-                if mat[i][c]:
-                    f = mat[i][c] * inv
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-        return det
+    @classmethod
+    def _of_int_rows(cls, rows) -> "LinearMapP5":
+        """A map from integer rows already known to be invertible."""
+        g = cls.__new__(cls)
+        g.rows = rows
+        return g
 
     def normalized(self) -> "LinearMapP5":
-        lead = next(e for r in self.rows for e in r if e)
-        return LinearMapP5(tuple(tuple(e / lead for e in r) for r in self.rows))
+        flat = [e for r in self.rows for e in r]
+        scale = math.gcd(*flat)
+        if next(e for e in flat if e) < 0:
+            scale = -scale
+        if scale == 1:
+            return self
+        return self._of_int_rows(tuple(tuple(e // scale for e in r) for r in self.rows))
 
     def __matmul__(self, other: "LinearMapP5") -> "LinearMapP5":
-        rows = tuple(
-            tuple(sum(self.rows[i][t] * other.rows[t][j] for t in range(6))
-                  for j in range(6))
-            for i in range(6))
-        return LinearMapP5(rows)
+        cols = tuple(zip(*other.rows))
+        return self._of_int_rows(tuple(
+            tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows))
 
     def act_on_poly(self, poly: Poly) -> Poly:
         """(poly o self): substitute each variable by its image linear form."""

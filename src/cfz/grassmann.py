@@ -17,6 +17,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .fields import is_prime
+from .linalg import det
 
 
 def subset_index(k: int, n: int):
@@ -57,30 +58,19 @@ class PlueckerVector:
 
     @classmethod
     def from_frame(cls, k, n, rows, p=None):
-        """Wedge of k+1 row vectors: coordinates are the maximal minors."""
+        """Wedge of k+1 integer row vectors: coordinates are the maximal minors."""
         rows = [list(r) for r in rows]
         if len(rows) != k + 1 or any(len(r) != n + 1 for r in rows):
             raise ValueError("frame must be k+1 vectors of length n+1")
         subs, _ = subset_index(k, n)
         coords = []
         for s in subs:
-            minor = _det([[rows[i][j] for j in s] for i in range(k + 1)])
+            minor = det([[rows[i][j] for j in s] for i in range(k + 1)])
             coords.append(minor % p if p is not None else minor)
         return cls(k, n, coords, p)
 
     def __repr__(self):
         return f"PlueckerVector(k={self.k}, n={self.n}, {self.coords})"
-
-
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j in range(len(m)):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _det(minor)
-    return total
 
 
 def pluecker_relations(k: int, n: int):

@@ -56,7 +56,9 @@ def test_explicit_method_is_honoured_on_a_hit(tmp_path):
     assert count_variety(S, 7, method="fibered", cache=cache).method == "fibered"
     rec = count_variety(S, 7, method="generic", cache=cache)
     assert (rec.method, rec.count) == ("generic", 177)
-    assert len(lines_of(path)) == 2
+    # the first record of a key is the one every lookup reads, so an
+    # appended generic line could never be served: none is written
+    assert len(lines_of(path)) == 1
 
 
 def test_count_above_the_ambient_space_is_recomputed(tmp_path):
@@ -65,7 +67,7 @@ def test_count_above_the_ambient_space_is_recomputed(tmp_path):
     write_lines(path, [{**GOOD, "count": 3250}])
     rec = count_variety(S, 7, cache=CountCache(path))
     assert (rec.method, rec.count) == ("fibered", 177)
-    assert json.loads(lines_of(path)[-1])["count"] == 177
+    assert [json.loads(line)["count"] for line in lines_of(path)] == [3250]
     write_lines(path, [{**GOOD, "count": 3249}])
     assert count_variety(S, 7, cache=CountCache(path)).count == 3249
 

@@ -232,6 +232,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
                           "--primes", "5,7"]),
     ("count-X-5-31", ["count", "--variety", "builtin:X", "--primes", "5..31"]),
     ("verify-counts-5-13", ["verify", "--suite", "counts", "--primes", "5..13"]),
+    ("verify-automorphisms", ["verify", "--suite", "automorphisms"]),
+    ("count-S-ext2-5-7-generic", ["count", "--variety", "builtin:S", "--ext", "2",
+                                  "--primes", "5,7", "--method", "generic"]),
 ])
 def test_golden_stdout(name, args):
     # byte-for-byte stdout of the commands, frozen from an earlier release
@@ -295,3 +298,43 @@ def test_malformed_cache_record_is_never_served(tmp_path, bad):
     r = run_cli("zeta", "--prime", "7", cache=cache)
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli("zeta", "--prime", "7", "--no-cache").stdout
+
+
+def test_rejected_cache_hit_is_not_appended(tmp_path):
+    # the first record of a key is the one every lookup reads, so a count
+    # recomputed after rejecting it (here: another method asked for) is
+    # not appended: it could never be served
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 177, "method": "fibered"}) + "\n")
+    before = cache.read_text()
+    for _ in range(3):
+        r = run_cli("count", "--variety", "builtin:S", "--primes", "7",
+                    "--method", "generic", cache=cache)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == {"p": 7, "k": 1, "count": 177}
+    assert cache.read_text() == before
+
+
+def test_hilbert_square_check_uses_the_orbit_oracle():
+    r = run_cli("verify", "--suite", "identities", "--primes", "7", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    checks = {c["name"]: c for s in json.loads(r.stdout)["suites"] for c in s["checks"]}
+    check = checks["hilbert-square-7"]
+    assert check["passed"]
+    assert check["detail"] == {"N1": 177, "N2": 3453, "count": 18630,
+                               "frobenius_fixed": 177, "conjugate_pairs": 1638,
+                               "orbit_count": 18630}
+
+
+def test_hilbert_square_check_fails_on_a_wrong_point_set(monkeypatch):
+    # a point set that is not closed under Frobenius, or whose fixed points
+    # are not the rational points, fails the check whatever N2 it implies
+    from cfz import cli
+    real = cli.points_on_variety
+    for perturb in (lambda pts: pts[:-1], lambda pts: pts + pts[:1]):
+        monkeypatch.setattr(cli, "points_on_variety",
+                            lambda spec, q, perturb=perturb: perturb(real(spec, q)))
+        name, passed, _ = cli._hilbert_square_orbit_check(7)
+        assert name == "hilbert-square-7" and not passed

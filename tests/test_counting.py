@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from cfz.cache import CountCache
-from cfz.counting import (ConvolutionStructureError, CountBudgetError,
+from cfz import counting
+from cfz.counting import (CHUNK_CELLS, ConvolutionStructureError, CountBudgetError,
                           CountRecord, VarietySpec, _s_fiber_count,
                           builtin_variety, count_fermat_cubic,
                           count_pairsum_convolution, count_points_generic,
@@ -59,6 +61,58 @@ def test_empty_system_counts_whole_space():
     spec0 = VarietySpec.from_dict(
         {"name": "P2z", "ambient": [2], "vars": [["x", "y", "z"]], "polys": ["0"]})
     assert count_points_generic(spec0, 7).count == 57
+
+
+# slice sizes for the generic oracle: one cell per slice, ragged slices,
+# and the default; a slice is never less than one row of block 0
+CHUNKS = [1, 1000, CHUNK_CELLS]
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_generic_slices_match_fibered(monkeypatch, p, cells):
+    monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
+    assert count_points_generic(S, p).count == count_S_fibered(p, 1).count
+
+
+@pytest.mark.parametrize("cells", [1000, 4099, CHUNK_CELLS])
+def test_generic_slices_single_block(monkeypatch, cells):
+    # X and the Fermat cubic live in one P^5: block 0 is the whole space
+    monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
+    assert count_points_generic(X, 7).count == count_pairsum_convolution(X, 7).count
+    assert count_points_generic(FERMAT, 7).count == count_fermat_cubic(7).count
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_generic_slices_without_equations(monkeypatch, cells):
+    monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
+    spec = VarietySpec.from_dict({"name": "P1xP2", "ambient": [1, 2],
+                                  "vars": [["a", "b"], ["x", "y", "z"]], "polys": ["0"]})
+    assert count_points_generic(spec, 7).count == 8 * 57
+    assert len(points_on_variety(spec, 5)) == 6 * 31
+
+
+def test_points_keep_their_order_across_slices(monkeypatch):
+    whole = [points_on_variety(S, q) for q in (7, 25)]
+    monkeypatch.setattr(counting, "CHUNK_CELLS", 500)
+    assert [points_on_variety(S, q) for q in (7, 25)] == whole
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_generic_oracle_memory_is_bounded():
+    # the whole 2451 x 2451 grid of S over GF(49) would take ~144 MiB of
+    # int64 arrays; slices of CHUNK_CELLS cells keep the peak to a few MiB
+    field_tables(field_of_order(49))
+    assert _peak_mib(lambda: count_points_generic(S, 49)) < 16
+    assert _peak_mib(lambda: points_on_variety(S, 49)) < 16
 
 
 def _fibers(q, pts):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cfz.fourfold import (CUBIC, F_FORM, G_FORM, FormNotPreservedError,
@@ -98,3 +100,22 @@ def test_projective_normalization():
     g = pair_swap_generator(0)
     scaled = LinearMapP5([[3 * e for e in row] for row in g.rows])
     assert scaled.normalized() == g.normalized()
+
+
+def _diag(*entries):
+    return [[entries[i] if i == j else 0 for j in range(6)] for i in range(6)]
+
+
+def test_matrices_are_integer_and_normalization_is_primitive():
+    # Fractions are cleared of their denominators: (1/2) I is I
+    half = LinearMapP5(_diag(*[Fraction(1, 2)] * 6))
+    assert half.rows == identity_map().rows
+    assert LinearMapP5(_diag(Fraction(2, 3), 1, 1, 1, 1, 1)).rows == \
+        LinearMapP5(_diag(2, 3, 3, 3, 3, 3)).rows
+    # the primitive representative with a positive first nonzero entry
+    assert LinearMapP5(_diag(-4, 6, 6, 6, 6, 6)).normalized().rows == \
+        LinearMapP5(_diag(2, -3, -3, -3, -3, -3)).rows
+    gens = [f(i) for i in range(3) for f in (pair_swap_generator, pair_shear_generator)]
+    for g in automorphism_subgroup(gens).elements:
+        assert all(type(e) is int for row in g.rows for e in row)
+        assert g.normalized() == g
