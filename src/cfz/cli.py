@@ -15,7 +15,7 @@ from . import grassmann, lattice
 from .cache import CountCache
 from .cmforms import (ap_base, ap_via_eisenstein, identify_form,
                       fermat_comparison)
-from .counting import (CountBudgetError, KNOWN_S_COUNTS, VarietySpec,
+from .counting import (CountBudgetError, VarietySpec,
                        builtin_variety, count_variety, count_S_fibered,
                        count_pairsum_convolution, count_fermat_cubic,
                        count_points_generic, points_on_variety, smoothness_scan,
@@ -195,6 +195,10 @@ def cmd_pluecker(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
+# #S(GF(p)) at split primes: paper data, not computed here
+KNOWN_S_COUNTS = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
+
+
 def _suite_counts(primes):
     checks = []
     fib = {p: count_S_fibered(p, 1).count for p in primes}
@@ -228,7 +232,7 @@ def _suite_counts(primes):
     return checks
 
 
-def _suite_identities(primes):
+def _suite_identities(_primes):
     checks = []
     import random
     rng = random.Random(7)
@@ -246,13 +250,6 @@ def _suite_identities(primes):
         rhs = 1 + s + (s * s + (t2 + pp * pp)) // 2 + pp * pp * s + pp ** 4
         ok &= lhs == rhs
     checks.append(("hilbert-square-symbolic", ok, {"trials": 100}))
-    X = builtin_variety("X")
-    for p in primes:
-        n1 = count_S_fibered(p, 1).count
-        conv = count_pairsum_convolution(X, p).count
-        pred = fourfold_count_from_surface(n1, p)
-        checks.append((f"fourfold-count-p{p}", conv == pred,
-                       {"convolution": conv, "from_surface": pred}))
     checks.append(_hilbert_square_orbit_check(7))
     return checks
 
@@ -265,7 +262,7 @@ def _hilbert_square_orbit_check(p):
     pts = [tuple(x.encoding for blk in pt for x in blk)
            for pt in points_on_variety(builtin_variety("S"), p * p)]
     field = field_of_order(p * p)
-    frobenius = [(field.from_encoding(e) ** p).encoding for e in range(field.order)]
+    frobenius = [field.pow(e, p) for e in range(field.order)]
     index = {pt: i for i, pt in enumerate(pts)}
     fixed = conjugate_pairs = 0
     for i, pt in enumerate(pts):

@@ -49,6 +49,7 @@ import numpy as np
 
 from .fields import (check_good_prime, enumerate_projective, field_of_order,
                      field_tables, projective_cardinality)
+from .linalg import rref
 from .polynomials import MultiHomPoly, parse_poly
 
 DEFAULT_BUDGET = 10 ** 9
@@ -462,7 +463,7 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
             lead = next(i for i in range(lo, hi) if row[i])
             local_cols.extend(i for i in range(lo, hi) if i != lead)
         jac = [[partials[r][c][n] for c in local_cols] for r in range(len(polys))]
-        if _echelon_rank(jac, lists) < len(polys):
+        if len(rref(jac, lists)[1]) < len(polys):
             bad.append(_as_point(field, row, spec.blocks))
     return bad
 
@@ -475,31 +476,8 @@ def _values_on_points(poly, coords, p, tables):
     return acc
 
 
-def _echelon_rank(rows, tables):
-    """Rank of a matrix of encodings, by row reduction through list tables."""
-    mul, add, neg, inv, _ = tables
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        s = inv[top[col]]
-        for r in range(rank + 1, len(rows)):
-            f = neg[mul[rows[r][col]][s]]
-            if f:
-                rows[r] = [add[a][mul[f][b]] for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # orchestration
-
-KNOWN_S_COUNTS = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
-
 
 def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                   budget=None, cache=None) -> CountRecord:

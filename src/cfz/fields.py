@@ -14,7 +14,8 @@ c_i of its residue class.  One rule on encodings (``FiniteField.add``,
 ``neg`` and ``mul``) does all arithmetic: ``FieldElement`` is a thin
 immutable facade over it for the public API, and ``field_tables`` fills
 the counters' lookup tables (mul, add, neg, inv, chi) from it on first
-use.
+use.  The same rule, in the quotient ring GF(p)[x]/(f), also decides
+whether a modulus f is irreducible (``_is_irreducible``).
 """
 
 from functools import lru_cache
@@ -58,86 +59,28 @@ def check_good_prime(p: int):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), used for moduli (coefficient lists, ascending)
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] % p
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(base, e, m, p):
-    result = [1]
-    acc = _pmod(list(base), m, p)
-    while e > 0:
-        if e & 1:
-            result = _pmulmod(result, acc, m, p)
-        acc = _pmulmod(acc, acc, m, p)
-        e >>= 1
-    return result
-
-
-def _pmonic(b, p):
-    inv = pow(b[-1], p - 2, p)
-    return [(c * inv) % p for c in b]
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, _pmonic(b, p), p)
-    return a
-
+# irreducibility, by the field's own rule in the quotient ring
 
 def _is_irreducible(f, p):
-    """f monic with coefficients mod p, degree >= 1."""
+    """f monic with coefficients mod p, degree k >= 1.
+
+    In R = GF(p)[x]/(f), x^(p^k) = x says f divides x^(p^k) - x, so f is
+    squarefree and R is a product of fields GF(p^e) with e | k.  Then f is
+    irreducible iff no e divides k/d for a prime d | k, that is iff every
+    g = x^(p^(k/d)) - x is a unit of R, iff g^(p^k - 1) = 1.
+    """
     k = len(f) - 1
     if k == 1:
         return True
-    x = [0, 1]
-    # x^(p^k) == x mod f, and gcd(x^(p^(k/d)) - x, f) = 1 for prime d | k
-    if _ppowmod(x, p ** k, f, p) != x:
+    ring = FiniteField._quotient_ring(p, f)
+    x = p  # the encoding of the residue class of x
+    if ring.pow(x, p ** k) != x:
         return False
     for d in _prime_divisors(k):
-        g = _ppowmod(x, p ** (k // d), f, p)
-        g = _ptrim([(gi - xi) % p for gi, xi in _zip_pad(g, x)])
-        if len(_pgcd(f, g, p)) != 1:
+        g = ring.add(ring.pow(x, p ** (k // d)), ring.neg(x))
+        if ring.pow(g, p ** k - 1) != 1:
             return False
     return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def _prime_divisors(n):
@@ -196,11 +139,19 @@ class FiniteField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree k")
-        if not _is_irreducible(list(modulus), p):
+        if not _is_irreducible(modulus, p):
             raise FieldError("modulus is reducible")
         self.p = p
         self.k = k
         self.modulus = modulus
+
+    @classmethod
+    def _quotient_ring(cls, p: int, modulus):
+        """GF(p)[x]/(modulus) for any monic modulus, unchecked: the ring the
+        irreducibility test computes in, with the field's own arithmetic."""
+        ring = cls.__new__(cls)
+        ring.p, ring.k, ring.modulus = p, len(modulus) - 1, tuple(modulus)
+        return ring
 
     @property
     def char(self):
@@ -243,6 +194,16 @@ class FiniteField:
             for i in range(k):
                 prod[d - k + i] = prod[d - k + i] - c * self.modulus[i]
         return self._encode(prod[:k])
+
+    def pow(self, a, e: int):
+        """a^e on encodings, e >= 0, by square-and-multiply through ``mul``."""
+        result = 1
+        while e > 0:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def element(self, value) -> "FieldElement":
         """Build an element from an integer (constant embedding) or coefficients."""
@@ -354,7 +315,7 @@ class FieldElement:
     def inverse(self):
         if self.is_zero:
             raise FieldError("division by zero")
-        return self ** (self.field.order - 2)
+        return FieldElement(self.field, self.field.pow(self.encoding, self.field.order - 2))
 
     def __truediv__(self, other):
         self._check(other)
@@ -363,14 +324,7 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        acc = self
-        while e > 0:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return FieldElement(self.field, self.field.pow(self.encoding, e))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -426,9 +380,7 @@ def quadratic_character(a: FieldElement) -> int:
     """0 on zero, +1 on nonzero squares, -1 on nonsquares (odd field order)."""
     if a.is_zero:
         return 0
-    q = a.field.order
-    s = a ** ((q - 1) // 2)
-    return 1 if s == a.field.one() else -1
+    return 1 if a.field.pow(a.encoding, (a.field.order - 1) // 2) == 1 else -1
 
 
 def quadratic_root_count(a: FieldElement, b: FieldElement, c: FieldElement) -> int:

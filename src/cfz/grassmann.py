@@ -9,6 +9,9 @@ largest projective linear subspace contained in the Pluecker image.
 
 Unlike the counting kernels, the linear algebra here runs over any prime
 field including GF(2) and GF(3); nothing in it needs odd characteristic.
+Its elimination is ``linalg.rref``/``nullspace`` on encodings, through
+the prime tables of ``_prime_tables`` (``fields.field_tables`` rejects
+characteristic 2 and 3 on purpose).
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +20,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .fields import is_prime
-from .linalg import det
+from .linalg import det, nullspace, rref
 
 
 def subset_index(k: int, n: int):
@@ -223,7 +226,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     points_map = grassmannian_points(k, n, q)
     points = sorted(points_map)
     arr = np.array(points, dtype=np.int64)
-    inv_table = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    inv_table = np.array(_prime_tables(q)[3], dtype=np.int64)
     pows = np.array([q ** t for t in range(m, -1, -1)], dtype=np.int64)
     lut = np.full(q ** (m + 1), -1, dtype=np.int64)
     for i, pt in enumerate(points):
@@ -292,84 +295,28 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     return LemmaReport(k, n, q, best_dim, witness, families)
 
 
+def _prime_tables(q):
+    """mul, add, neg, inv of GF(q) for any prime q, GF(2) and GF(3) included,
+    as the list tables ``linalg.rref`` takes."""
+    r = range(q)
+    return ([[a * b % q for b in r] for a in r], [[(a + b) % q for b in r] for a in r],
+            [-a % q for a in r], [pow(a, q - 2, q) if a else 0 for a in r])
+
+
 def _classify_families(best, points_map, points, k, n, q):
+    # a family is labelled by two dimensions only: the common subspace of
+    # its members, (n + 1) - rank of their stacked annihilators, and the
+    # span of their rows
+    tables = _prime_tables(q)
     counts = {}
     for pset in best:
         subspaces = [points_map[points[i]] for i in pset]
-        common = _intersect_all(subspaces, n + 1, q)
-        if len(common) >= k:
+        normals = [v for s in subspaces for v in nullspace(s, n + 1, tables)]
+        if n + 1 - len(rref(normals, tables)[1]) >= k:
             label = "pencil-through-fixed-plane"
+        elif len(rref([r for s in subspaces for r in s], tables)[1]) <= k + 2:
+            label = "inside-fixed-plane"
         else:
-            span = _span_all(subspaces, n + 1, q)
-            if len(span) <= k + 2:
-                label = "inside-fixed-plane"
-            else:
-                label = "other"
+            label = "other"
         counts[label] = counts.get(label, 0) + 1
     return tuple(sorted(counts.items()))
-
-
-def _rref(rows, width, q):
-    mat = [list(r) for r in rows]
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % q), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], q - 2, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % q:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return [tuple(row) for row in mat[:r]]
-
-
-def _span_all(subspaces, width, q):
-    rows = [r for s in subspaces for r in s]
-    return _rref(rows, width, q)
-
-
-def _intersect_pair(a, b, width, q):
-    # solve lam*A = mu*B: nullspace of the stacked transposed system
-    rows_a, rows_b = list(a), list(b)
-    cols = len(rows_a) + len(rows_b)
-    system = [[(rows_a[i][t] if i < len(rows_a) else -rows_b[i - len(rows_a)][t]) % q
-               for i in range(cols)] for t in range(width)]
-    null = _nullspace(system, cols, q)
-    vectors = []
-    for sol in null:
-        vec = [0] * width
-        for i in range(len(rows_a)):
-            for t in range(width):
-                vec[t] = (vec[t] + sol[i] * rows_a[i][t]) % q
-        if any(vec):
-            vectors.append(tuple(vec))
-    return _rref(vectors, width, q)
-
-
-def _intersect_all(subspaces, width, q):
-    common = list(subspaces[0])
-    for s in subspaces[1:]:
-        common = _intersect_pair(common, s, width, q)
-        if not common:
-            break
-    return common
-
-
-def _nullspace(rows, width, q):
-    mat = _rref(rows, width, q)
-    pivots = []
-    for row in mat:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * width
-        vec[f] = 1
-        for row, piv in zip(mat, pivots):
-            vec[piv] = (-row[f]) % q
-        basis.append(tuple(vec))
-    return basis

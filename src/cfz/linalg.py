@@ -1,10 +1,14 @@
-"""Exact linear algebra over the integers.
+"""Exact linear algebra over the integers and over finite fields.
 
-``det`` is the one determinant of the package: Bareiss fraction-free
-elimination, in which every division is exact, so the entries stay
-integers and no Fraction is ever formed.  The Pluecker coordinates of
-``grassmann`` and the invertibility check of ``fourfold.LinearMapP5``
-both use it.
+``det``, ``rref`` and ``nullspace`` are the package's one exact linear
+algebra.  ``det`` is Bareiss fraction-free elimination, in which every
+division is exact, so the entries stay integers and no Fraction is ever
+formed; the Pluecker coordinates of ``grassmann`` and the invertibility
+check of ``fourfold.LinearMapP5`` both use it.  ``rref`` and
+``nullspace`` work on field encodings through list tables (mul, add,
+neg, inv, as ``fields.FieldTables.tolist`` gives them), so one
+elimination serves the Jacobian ranks of ``counting.smoothness_scan``
+and the subspace dimensions of ``grassmann`` over GF(2) and GF(3).
 """
 
 
@@ -32,3 +36,46 @@ def det(rows) -> int:
         prev = lead
         n -= 1
     return sign * m[0][0] if m else 1
+
+
+def rref(rows, tables):
+    """Reduced row echelon form of a matrix of field encodings.
+
+    Returns the nonzero reduced rows, each with a 1 at its pivot and 0
+    above and below it, and their pivot columns; the rank is the number of
+    pivots.  ``tables`` starts with the list tables mul, add, neg, inv.
+    """
+    mul, add, neg, inv = tables[:4]
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = mul[inv[rows[r][col]]]
+        top = rows[r] = [scale[a] for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = mul[neg[row[col]]]
+                rows[i] = [add[a][f[b]] for a, b in zip(row, top)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def nullspace(rows, width, tables):
+    """A basis of the vectors v of length ``width`` with row . v = 0 for
+    every row: width - rank vectors, one per non-pivot column."""
+    reduced, pivots = rref(rows, tables)
+    neg = tables[2]
+    basis = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[free] = 1
+        for row, piv in zip(reduced, pivots):
+            vec[piv] = neg[row[free]]
+        basis.append(vec)
+    return basis

@@ -244,6 +244,26 @@ def test_golden_stdout(name, args):
         assert r.stdout == fh.read()
 
 
+@pytest.mark.parametrize("k, n, q", [(1, 3, 3), (2, 4, 2)])
+def test_pluecker_golden_stdout(k, n, q):
+    # together these cover both family labels, frozen from an earlier release
+    r = run_cli("pluecker", "--k", str(k), "--n", str(n), "--q", str(q))
+    assert r.returncode == 0, r.stderr
+    with open(os.path.join(GOLDEN, f"pluecker-{k}-{n}-{q}.out"), encoding="utf-8",
+              newline="") as fh:
+        assert r.stdout == fh.read()
+
+
+def test_verify_check_names_are_unique():
+    # the fourfold identity is checked once, in the counts suite
+    r = run_cli("verify", "--suite", "all", "--primes", "5..13", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    names = [c["name"] for s in json.loads(r.stdout)["suites"] for c in s["checks"]]
+    assert len(names) == len(set(names))
+    assert "fourfold-identity-p7" in names
+    assert "fourfold-count-p7" not in names
+
+
 def test_inconsistent_cached_count_exits_1(tmp_path):
     # a cache line claiming 178 points for S at p = 7 (the true count is 177)
     # makes the algebraic trace 141 indivisible by 7: the mathematics

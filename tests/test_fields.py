@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from cfz.fields import (ExtField, FieldError, PrimeField, enumerate_projective,
-                        field_of_order, field_tables, find_irreducible,
-                        is_prime, projective_cardinality, projective_points,
-                        quadratic_character, quadratic_root_count)
+from cfz.fields import (ExtField, FieldError, PrimeField, _is_irreducible,
+                        enumerate_projective, field_of_order, field_tables,
+                        find_irreducible, is_prime, projective_cardinality,
+                        projective_points, quadratic_character, quadratic_root_count)
 
 GOOD_PRIMES = [5, 7, 11, 13]
 
@@ -132,6 +134,32 @@ def test_find_irreducible():
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         ExtField(5, 2, modulus=(4, 0, 1))  # x^2 + 4 = (x-1)(x+1) mod 5
+    # (x^2 + 2)(x^2 + 3) = x^4 + 1 mod 5: no root, and x^625 = x holds, so
+    # only the unit test on x^25 - x can reject it
+    with pytest.raises(FieldError):
+        ExtField(5, 4, modulus=(1, 0, 0, 0, 1))
+
+
+def _mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_irreducible_count_is_gauss_formula(p, k):
+    # the number of monic irreducibles of degree k over GF(p) is
+    # (1/k) * sum over d | k of mu(d) * p^(k/d)
+    expected = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    found = sum(_is_irreducible(list(tail) + [1], p) for tail in product(range(p), repeat=k))
+    assert found == expected
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 25, 49])
