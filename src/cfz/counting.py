@@ -35,6 +35,10 @@ they can cross-check each other:
 
 All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (p - 1) and verifies exactness.
+
+numpy is imported inside the kernels that use it (the generic oracle
+here, ``fields.field_tables`` for the fibered counter), so a count served
+from the cache or by the convolution counter never loads it.
 """
 
 import hashlib
@@ -45,12 +49,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
-import numpy as np
-
 from .fields import (check_good_prime, enumerate_projective, field_of_order,
                      field_tables, projective_cardinality)
 from .linalg import rref
 from .polynomials import MultiHomPoly, parse_poly
+from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
 # cells of the product grid the generic oracle evaluates at once; each
@@ -160,6 +163,10 @@ _BUILTIN_SOURCES = {
     },
 }
 
+# dimension d = 2m and middle Betti number b of each builtin, all smooth at
+# every good prime; kept out of the sources so that no builtin sha changes
+_BUILTIN_COHOMOLOGY = {"S": (2, K3_B2), "X": (4, FOURFOLD_B4), "fermat": (4, FOURFOLD_B4)}
+
 
 def builtin_variety(name: str) -> VarietySpec:
     if name not in _BUILTIN_SOURCES:
@@ -168,20 +175,38 @@ def builtin_variety(name: str) -> VarietySpec:
 
 
 @lru_cache(maxsize=None)
-def _builtin_s_sha() -> str:
-    """Content hash of the builtin surface, computed once on first use."""
-    return builtin_variety("S").sha()
+def _builtin_sha(name: str) -> str:
+    """Content hash of a builtin, computed once on first use."""
+    return builtin_variety(name).sha()
+
+
+def _fits_weil_bound(sha: str, count: int, q: int) -> bool:
+    """Whether a count over GF(q) is possible for the variety with this sha.
+
+    A builtin of dimension d = 2m has one cohomology class in each even
+    degree 2i != 2m, on which Frobenius acts by q^i, and middle Betti number
+    b, so |N - sum_{i != m} q^i| <= b q^m.  Any count passes for a custom
+    variety, whose cohomology is unknown."""
+    for name, (d, b) in _BUILTIN_COHOMOLOGY.items():
+        if sha == _builtin_sha(name):
+            m = d // 2
+            return abs(count - sum(q ** i for i in range(d + 1) if i != m)) <= b * q ** m
+    return True
 
 
 # ---------------------------------------------------------------------------
 # generic oracle over the full product of projective spaces
 
 def _block_point_arrays(q, dims):
+    import numpy as np
+
     return [np.array(list(enumerate_projective(q, n)), dtype=np.int64) for n in dims]
 
 
 def _monomial_values(exps, coords, mul):
     """Encodings of the monomial with exponents exps at each row of coords."""
+    import numpy as np
+
     mono = np.ones(len(coords), dtype=np.int64)
     for i, e in enumerate(exps):
         for _ in range(e):
@@ -234,6 +259,8 @@ def _zero_masks(spec, field):
     equation vanishes.  A slice spans about CHUNK_CELLS grid cells, and
     block 0 is enumerated slice by slice, so memory is bounded by the chunk
     and the later blocks' point arrays, whatever the budget allows."""
+    import numpy as np
+
     q = field.order
     tables = field_tables(field)
     rest = _block_point_arrays(q, spec.ambient[1:])
@@ -272,6 +299,8 @@ def _check_budget(spec, q, budget):
 
 def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     """Exact point count by full enumeration of the product of canonical points."""
+    import numpy as np
+
     field = field_of_order(q)
     _check_budget(spec, q, budget)
     count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field))
@@ -282,6 +311,8 @@ def _rational_points(spec: VarietySpec, q: int, budget):
     """The field, its table set, and the encodings of all rational points:
     one row per point, the coordinates of all blocks side by side, in the
     order of the product enumeration."""
+    import numpy as np
+
     field = field_of_order(q)
     _check_budget(spec, q, budget)
     found = []
@@ -470,6 +501,8 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
 
 def _values_on_points(poly, coords, p, tables):
     """Encodings of poly at each row of coords."""
+    import numpy as np
+
     acc = np.zeros(len(coords), dtype=np.int64)
     for exps, c in poly.terms.items():
         acc = tables.add[acc, tables.mul[c % p, _monomial_values(exps, coords, tables.mul)]]
@@ -486,19 +519,21 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     method ``auto`` picks the structured counter for the builtins
     (fibered for S, convolution for the k=1 fourfolds) and the generic
     oracle otherwise.  A cache hit is served only under ``auto`` or when
-    its method is the one asked for, and only if its count fits in the
-    ambient space; otherwise the count is recomputed.  A count is appended
-    only when the cache holds no record for its key: the first record of a
-    key is the one every lookup reads, so a second could never be served.
+    its method is the one asked for, only if its count fits in the ambient
+    space, and for a builtin only if it satisfies the Weil bound; otherwise
+    the count is recomputed.  A count is appended only when the cache holds
+    no record for its key: the first record of a key is the one every
+    lookup reads, so a second could never be served.
     """
     sha = spec.sha()
     hit = None
     if cache is not None:
         hit = cache.get(sha, p, k)
         if (hit is not None and method in ("auto", hit.method)
-                and hit.count <= _ambient_points(spec, p ** k)):
+                and hit.count <= _ambient_points(spec, p ** k)
+                and _fits_weil_bound(sha, hit.count, p ** k)):
             return hit
-    is_s = sha == _builtin_s_sha()
+    is_s = sha == _builtin_sha("S")
     if method == "auto":
         if is_s and k in (1, 2):
             method = "fibered"

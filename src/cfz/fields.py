@@ -16,13 +16,14 @@ immutable facade over it for the public API, and ``field_tables`` fills
 the counters' lookup tables (mul, add, neg, inv, chi) from it on first
 use.  The same rule, in the quotient ring GF(p)[x]/(f), also decides
 whether a modulus f is irreducible (``_is_irreducible``).
+
+numpy is imported inside ``field_tables`` only, so a process that builds
+no table set never loads it.
 """
 
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
-
-import numpy as np
 
 
 class FieldError(ValueError):
@@ -256,8 +257,12 @@ def ExtField(base, k: int, modulus=None) -> FiniteField:
     return FiniteField(base if isinstance(base, int) else base.p, k, modulus)
 
 
+@lru_cache(maxsize=None)
 def field_of_order(q: int):
-    """The field with q = p^k elements (p >= 5; default modulus for k >= 2)."""
+    """The field with q = p^k elements (p >= 5; default modulus for k >= 2).
+
+    Built once per q and process: for k >= 2 the build scans for the
+    modulus, and a field is immutable, so every caller can share it."""
     if q < 5:
         raise FieldError(f"field order {q} not supported (char 2 and 3 excluded)")
     p = None
@@ -362,6 +367,8 @@ def field_tables(field) -> FieldTables:
     """The table set of a field as numpy int64 arrays, filled on first use
     from the field's own rule.  The cache holds a few fields only, so a
     sweep over many primes does not keep every q x q table alive."""
+    import numpy as np
+
     e = np.arange(field.order, dtype=np.int64)
     mul = field.mul(e[:, None], e[None, :])
     add = field.add(e[:, None], e[None, :])

@@ -17,8 +17,6 @@ characteristic 2 and 3 on purpose).
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-import numpy as np
-
 from .fields import is_prime
 from .linalg import det, nullspace, rref
 
@@ -215,6 +213,8 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     asserted.  The boundary case 2k = n - 1 (e.g. lines in P^3) is
     permitted and reports its maximal families without the assertion.
     """
+    import numpy as np
+
     if not (0 < k < n):
         raise ValueError("need 0 < k < n")
     npoints = gaussian_binomial(n + 1, k + 1, q)

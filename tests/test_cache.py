@@ -5,7 +5,8 @@ import json
 import pytest
 
 from cfz.cache import CountCache
-from cfz.counting import CountRecord, builtin_variety, count_S_fibered, count_variety
+from cfz.counting import (CountRecord, VarietySpec, builtin_variety, count_S_fibered,
+                          count_variety)
 
 S = builtin_variety("S")
 S_SHA = S.sha()
@@ -63,13 +64,28 @@ def test_explicit_method_is_honoured_on_a_hit(tmp_path):
 
 def test_count_above_the_ambient_space_is_recomputed(tmp_path):
     path = tmp_path / "c.jsonl"
-    # S lies in P^2 x P^2, which has 57^2 = 3249 points over GF(7)
-    write_lines(path, [{**GOOD, "count": 3250}])
+    # S under another name is a custom variety, bounded by its ambient space
+    # alone: P^2 x P^2 has 57^2 = 3249 points over GF(7)
+    T = VarietySpec.from_dict({**S.to_dict(), "name": "T"})
+    good = {**GOOD, "sha": T.sha(), "name": "T"}
+    write_lines(path, [{**good, "count": 3250}])
+    rec = count_variety(T, 7, cache=CountCache(path))
+    assert (rec.method, rec.count) == ("generic", 177)
+    assert [json.loads(line)["count"] for line in lines_of(path)] == [3250]
+    write_lines(path, [{**good, "count": 3249}])
+    assert count_variety(T, 7, cache=CountCache(path)).count == 3249
+
+
+def test_builtin_count_outside_the_weil_bound_is_recomputed(tmp_path):
+    path = tmp_path / "c.jsonl"
+    # over GF(7) a K3 surface has |N - 1 - 49| <= 22 * 7 = 154: 400 fits in
+    # the ambient space but not in the bound, 178 fits in both
+    write_lines(path, [{**GOOD, "count": 400}])
     rec = count_variety(S, 7, cache=CountCache(path))
     assert (rec.method, rec.count) == ("fibered", 177)
-    assert [json.loads(line)["count"] for line in lines_of(path)] == [3250]
-    write_lines(path, [{**GOOD, "count": 3249}])
-    assert count_variety(S, 7, cache=CountCache(path)).count == 3249
+    assert [json.loads(line)["count"] for line in lines_of(path)] == [400]
+    write_lines(path, [{**GOOD, "count": 178}])
+    assert count_variety(S, 7, cache=CountCache(path)).count == 178
 
 
 def test_lookups_read_the_file_once(tmp_path, monkeypatch):

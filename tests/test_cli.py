@@ -280,6 +280,19 @@ def test_inconsistent_cached_count_exits_1(tmp_path):
     assert r.returncode == 2
 
 
+def test_cached_count_breaking_the_weil_bound_is_recomputed(tmp_path):
+    # 400 fits in the 3249 points of P^2 x P^2 over GF(7), but a K3 surface
+    # has |N - 1 - 49| <= 22 * 7 = 154
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 400, "method": "fibered"}) + "\n")
+    r = run_cli("count", "--variety", "builtin:S", "--primes", "7", cache=cache)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 7, "k": 1, "count": 177}
+    assert len(cache.read_text().splitlines()) == 1
+
+
 def test_format_only_on_count_and_trace_table():
     for cmd in (["zeta", "--prime", "7"], ["identify", "--primes", "7"],
                 ["verify", "--suite", "forms"]):
@@ -295,6 +308,35 @@ def test_import_builds_no_tables():
                        env=BASE_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "0"
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cfz, cfz.cli
+seen = [["import", 0, "numpy" in sys.modules]]
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cfz.cli.main(line.split())
+    seen.append([line, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_numpy_kernels(tmp_path):
+    # lookups, the lattice and the convolution counter run without numpy;
+    # the generic oracle needs it
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 177, "method": "fibered"}) + "\n")
+    lines = ["lattice --d 14", "count --variety builtin:X --primes 5..31",
+             "count --variety builtin:S --primes 7", "zeta --prime 7",
+             "count --variety builtin:S --primes 7 --method generic --no-cache"]
+    r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *lines], capture_output=True,
+                       text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [["import", 0, False]] + [
+        [line, 0, line == lines[-1]] for line in lines]
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from itertools import product
 
@@ -177,6 +178,20 @@ def test_weil_bound_for_surface_counts():
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         n1 = count_S_fibered(p, 1).count
         assert abs(n1 - 1 - p * p) <= 22 * p
+
+
+def test_reference_counts_pass_the_cache_weil_bound():
+    # exact counts of the benchmark's reference table, each cross-checked by
+    # a second counter: the bound a cache hit must meet admits every one
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
+    with open(path, encoding="utf-8") as fh:
+        reference = json.load(fh)
+    for name in ("S", "X", "fermat"):
+        sha = builtin_variety(name).sha()
+        for k, counts in reference[name].items():
+            for p, n in counts.items():
+                assert counting._fits_weil_bound(sha, n, int(p) ** int(k)), (name, k, p, n)
+    assert sorted(reference["S"]) == ["1", "2"]
 
 
 def test_budget_refusal_names_size():

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cfz import fields
 from cfz.fields import (ExtField, FieldError, PrimeField, _is_irreducible,
                         enumerate_projective, field_of_order, field_tables,
                         find_irreducible, is_prime, projective_cardinality,
@@ -29,6 +30,24 @@ def test_field_of_order():
     assert field_of_order(125).order == 125
     with pytest.raises(FieldError):
         field_of_order(10)
+
+
+def test_field_of_order_is_built_once_per_order(monkeypatch):
+    scans = []
+
+    def counting_scan(p, k):
+        scans.append((p, k))
+        return find_irreducible(p, k)
+
+    monkeypatch.setattr(fields, "find_irreducible", counting_scan)
+    field_of_order.cache_clear()
+    try:
+        for _ in range(3):
+            assert field_of_order(121) is field_of_order(121)
+            assert field_of_order(11) is field_of_order(11)
+        assert scans == [(11, 2), (11, 1)]
+    finally:
+        field_of_order.cache_clear()
 
 
 def _full_tables(field):
