@@ -20,12 +20,15 @@ they can cross-check each other:
   through the same slices, in the order of the full enumeration.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
-  for each point of the first P^2 the second equation cuts a line in the
-  second P^2, and the first equation restricts to a binary quadratic on
-  that line, counted by the quadratic character of its discriminant.
-  Fibers where the restriction vanishes identically contribute a full
-  line of q + 1 points.  One loop over list tables serves GF(p) and
-  GF(p^2).
+  for each point [x:y:z] of the first P^2 the second equation cuts a line
+  in the second P^2, and the first equation restricts to a binary
+  quadratic on that line, whose discriminant is -xyz(x^3 + y^3 + z^3) up
+  to a nonzero square.  The counter sums the quadratic character of that
+  value over the base, row by row through list tables, and counts the
+  O(q) fibers where it vanishes (on xyz = 0 or on the Fermat cubic curve)
+  one by one with ``_s_fiber_count``, which also sees the fibers whose
+  restriction vanishes identically, a full line of q + 1 points.  One
+  loop serves GF(p^k) for every k.
 
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
   sum of forms in disjoint variable groups of size at most two (the
@@ -36,14 +39,16 @@ they can cross-check each other:
 All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (p - 1) and verifies exactness.
 
-numpy is imported inside the kernels that use it (the generic oracle
-here, ``fields.field_tables`` for the fibered counter), so a count served
-from the cache or by the convolution counter never loads it.
+numpy is imported inside the generic oracle's kernels only, which convert
+the list tables once through ``FieldTables.arrays``, so a count served from
+the cache, by the fibered counter or by the convolution counter never
+loads it.
 """
 
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -251,8 +256,9 @@ def _poly_values_on_grid(terms, head, tables):
     return acc
 
 
-def _zero_masks(spec, field):
-    """The zero set of the equations, one slice of block 0 at a time.
+def _zero_masks(spec, field, tables):
+    """The zero set of the equations, through the table set as arrays, one
+    slice of block 0 at a time.
 
     Yields (blocks, mask): the point arrays of the slice of block 0 and of
     every later block, and the boolean grid over their product where every
@@ -262,7 +268,6 @@ def _zero_masks(spec, field):
     import numpy as np
 
     q = field.order
-    tables = field_tables(field)
     rest = _block_point_arrays(q, spec.ambient[1:])
     equations = _equation_terms(spec, rest, field.char, tables.mul)
     # a later block's gather briefly holds q cells per cell of the grid
@@ -303,23 +308,25 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
 
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field))
+    tables = field_tables(field).arrays()
+    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field, tables))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
 def _rational_points(spec: VarietySpec, q: int, budget):
-    """The field, its table set, and the encodings of all rational points:
-    one row per point, the coordinates of all blocks side by side, in the
-    order of the product enumeration."""
+    """The field, its table set as arrays, and the encodings of all
+    rational points: one row per point, the coordinates of all blocks side
+    by side, in the order of the product enumeration."""
     import numpy as np
 
     field = field_of_order(q)
     _check_budget(spec, q, budget)
+    tables = field_tables(field).arrays()
     found = []
-    for blocks, mask in _zero_masks(spec, field):
+    for blocks, mask in _zero_masks(spec, field, tables):
         idx = np.argwhere(mask)
         found.append(np.concatenate([a[idx[:, b]] for b, a in enumerate(blocks)], axis=1))
-    return field, field_tables(field), np.concatenate(found)
+    return field, tables, np.concatenate(found)
 
 
 def _as_point(field, row, blocks):
@@ -368,12 +375,33 @@ def _s_fiber_count(xyz, tables) -> int:
 
 
 def count_S_fibered(p: int, k: int = 1) -> CountRecord:
-    """Count S(GF(p^k)) fiberwise over the first P^2; k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError(f"fibered counter supports k in {{1, 2}}, got {k}")
+    """Count S(GF(p^k)) fiberwise over the first P^2.
+
+    Up to a nonzero square, the discriminant of the fiber above [x:y:z] is
+    -xyz(x^3 + y^3 + z^3), so a fiber where c = xyz(x^3 + y^3 + z^3) is
+    nonzero has 1 + chi(-1) chi(c) points.  Since chi is multiplicative,
+    the chart x = 1 sums chi(y) chi(z) chi(1 + y^3 + z^3) row by row.  The
+    O(q) base points with c = 0, on xyz = 0 or on the Fermat cubic curve,
+    are counted exactly by ``_s_fiber_count``."""
     q = p ** k
-    tables = field_tables(field_of_order(q)).tolist()
-    total = sum(_s_fiber_count(pt, tables) for pt in enumerate_projective(q, 2))
+    tables = field_tables(field_of_order(q))
+    mul, add, neg, _, chi = tables
+    cube = [mul[mul[z][z]][z] for z in range(q)]
+    cube_roots = {}
+    for z in range(1, q):
+        cube_roots.setdefault(cube[z], []).append(z)
+    # the line x = 0 and the row y = 0 of the chart lie on xyz = 0
+    degenerate = [(0, 0, 1)] + [(0, 1, z) for z in range(q)] + [(1, 0, z) for z in range(q)]
+    char_sum = 0
+    for y in range(1, q):
+        row = add[add[1][cube[y]]]  # 1 + y^3 + (.)
+        degenerate.append((1, y, 0))
+        degenerate += [(1, y, z) for z in cube_roots.get(neg[row[0]], ())]
+        char_sum += chi[y] * sum(map(operator.mul, chi,
+                                     map(chi.__getitem__, map(row.__getitem__, cube))))
+    generic = q * q - (len(degenerate) - q - 1)  # chart points off c = 0
+    total = generic + chi[neg[1]] * char_sum
+    total += sum(_s_fiber_count(pt, tables) for pt in degenerate)
     return CountRecord("S", p, k, total, "fibered")
 
 
@@ -480,7 +508,7 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
     # partials[r][c][n]: d(poly r)/d(variable c) at point n
     partials = [[_values_on_points(f.derivative(c), coords, field.char, tables).tolist()
                  for c in range(coords.shape[1])] for f in polys]
-    lists = tables.tolist()
+    lists = field_tables(field)
     slices = []
     start = 0
     for b in spec.blocks:
@@ -516,8 +544,8 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                   budget=None, cache=None) -> CountRecord:
     """Count with method dispatch and optional cache.
 
-    method ``auto`` picks the structured counter for the builtins
-    (fibered for S, convolution for the k=1 fourfolds) and the generic
+    method ``auto`` picks the structured counter for the builtins (fibered
+    for S at every k, convolution for the k=1 fourfolds) and the generic
     oracle otherwise.  A cache hit is served only under ``auto`` or when
     its method is the one asked for, only if its count fits in the ambient
     space, and for a builtin only if it satisfies the Weil bound; otherwise
@@ -535,7 +563,7 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
             return hit
     is_s = sha == _builtin_sha("S")
     if method == "auto":
-        if is_s and k in (1, 2):
+        if is_s:
             method = "fibered"
         elif k == 1:
             try:

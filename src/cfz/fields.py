@@ -13,16 +13,15 @@ its integer encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients
 c_i of its residue class.  One rule on encodings (``FiniteField.add``,
 ``neg`` and ``mul``) does all arithmetic: ``FieldElement`` is a thin
 immutable facade over it for the public API, and ``field_tables`` fills
-the counters' lookup tables (mul, add, neg, inv, chi) from it on first
-use.  The same rule, in the quotient ring GF(p)[x]/(f), also decides
-whether a modulus f is irreducible (``_is_irreducible``).
-
-numpy is imported inside ``field_tables`` only, so a process that builds
-no table set never loads it.
+the counters' lookup tables (mul, add, neg, inv, chi) as Python lists on
+first use, from a generator of GF(q)* found by that rule.  The same rule,
+in the quotient ring GF(p)[x]/(f), also decides whether a modulus f is
+irreducible (``_is_irreducible``).
 """
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -124,9 +123,9 @@ class FiniteField:
     """GF(p^k) as GF(p)[x]/(modulus), p >= 5, monic irreducible modulus of
     degree k (x itself for k = 1).
 
-    ``add``, ``neg`` and ``mul`` are the field's arithmetic on encodings.
-    They take Python ints or numpy integer arrays alike, so the table set
-    of ``field_tables`` and single elements compute through one rule.
+    ``add``, ``neg`` and ``mul`` are the field's arithmetic on encodings,
+    the one rule that single elements and the table set of
+    ``field_tables`` compute through.
     """
 
     __slots__ = ("p", "k", "modulus")
@@ -347,37 +346,70 @@ class FieldElement:
 
 
 class FieldTables(NamedTuple):
-    """The arithmetic of one field on encodings: mul and add of shape
-    (q, q), neg and inv of shape (q,) (inv[0] = 0), and the quadratic
-    character chi of shape (q,)."""
+    """The arithmetic of one field on encodings, as Python lists: mul and
+    add are q lists of q entries, neg and inv lists of q entries
+    (inv[0] = 0), and chi the quadratic character."""
 
-    mul: object
-    add: object
-    neg: object
-    inv: object
-    chi: object
+    mul: list
+    add: list
+    neg: list
+    inv: list
+    chi: list
 
-    def tolist(self) -> "FieldTables":
-        """The same tables as nested lists, for scalar indexing in loops."""
-        return FieldTables(*(t.tolist() for t in self))
+    def arrays(self) -> "FieldTables":
+        """The same tables as numpy int64 arrays, for the vectorised kernels."""
+        import numpy as np
+
+        return FieldTables(*(np.array(t, dtype=np.int64) for t in self))
+
+
+def _generator(field):
+    """The least encoding that generates the multiplicative group: g is a
+    generator iff g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    n = field.order - 1
+    exps = [n // r for r in _prime_divisors(n)]
+    return next(g for g in range(1, field.order)
+                if all(field.pow(g, e) != 1 for e in exps))
 
 
 @lru_cache(maxsize=4)
 def field_tables(field) -> FieldTables:
-    """The table set of a field as numpy int64 arrays, filled on first use
-    from the field's own rule.  The cache holds a few fields only, so a
-    sweep over many primes does not keep every q x q table alive."""
-    import numpy as np
+    """The table set of a field, filled on first use from the field's own
+    rule.  Every entry is an object of one shared list(range(q)), so a q x q
+    table costs one pointer per entry.  The cache holds a few fields only,
+    so a sweep over many primes does not keep every q x q table alive.
 
-    e = np.arange(field.order, dtype=np.int64)
-    mul = field.mul(e[:, None], e[None, :])
-    add = field.add(e[:, None], e[None, :])
-    inv = np.argmax(mul == 1, axis=1).astype(np.int64)
-    squares = np.zeros(field.order, dtype=bool)
-    squares[np.diagonal(mul)] = True
-    chi = np.where(squares, 1, -1).astype(np.int64)
-    chi[0] = 0
-    return FieldTables(mul, add, field.neg(e), inv, chi)
+    mul, inv and chi come from the powers g^0, ..., g^(q-2) of a generator
+    g: g^i * g^j = g^(i+j), and chi is the parity of the discrete log.  add
+    is digitwise addition mod p: the row of a = a0 + p*a1 is the row of a1
+    on the higher digits, each block of p entries rotated by a0."""
+    q, p = field.order, field.p
+    elems = list(range(q))
+    g = _generator(field)
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(elems[field.mul(powers[-1], g)])
+    log = [0] * q
+    for i, e in enumerate(powers):
+        log[e] = i
+    # for a = g^i, [0] + cycle[i:i + q - 1] holds a * 0 and then a * g^j at
+    # 1 + j; by_log reorders it by column encoding b, taking 1 + log[b]
+    by_log = itemgetter(0, *(1 + log[b] for b in range(1, q)))
+    cycle = powers + powers
+    mul = [[0] * q] + [list(by_log([0] + cycle[log[a]:log[a] + q - 1]))
+                       for a in range(1, q)]
+    add = [elems]
+    for a in range(1, q):
+        a0, row = a % p, []
+        for c in add[a // p][:q // p]:
+            lo = p * c
+            row += elems[lo + a0:lo + p]
+            row += elems[lo:lo + a0]
+        add.append(row)
+    neg = [elems[field.neg(e)] for e in elems]
+    inv = [0] + [powers[-log[a] % (q - 1)] for a in range(1, q)]
+    chi = [0] + [1 - 2 * (log[a] & 1) for a in range(1, q)]
+    return FieldTables(mul, add, neg, inv, chi)
 
 
 # ---------------------------------------------------------------------------

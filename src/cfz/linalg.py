@@ -6,7 +6,7 @@ division is exact, so the entries stay integers and no Fraction is ever
 formed; the Pluecker coordinates of ``grassmann`` and the invertibility
 check of ``fourfold.LinearMapP5`` both use it.  ``rref`` and
 ``nullspace`` work on field encodings through list tables (mul, add,
-neg, inv, as ``fields.FieldTables.tolist`` gives them), so one
+neg, inv, as ``fields.field_tables`` builds them), so one
 elimination serves the Jacobian ranks of ``counting.smoothness_scan``
 and the subspace dimensions of ``grassmann`` over GF(2) and GF(3).
 """

@@ -235,6 +235,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("verify-automorphisms", ["verify", "--suite", "automorphisms"]),
     ("count-S-ext2-5-7-generic", ["count", "--variety", "builtin:S", "--ext", "2",
                                   "--primes", "5,7", "--method", "generic"]),
+    ("trace-table-5-200", ["trace-table", "--primes", "5..200"]),
 ])
 def test_golden_stdout(name, args):
     # byte-for-byte stdout of the commands, frozen from an earlier release
@@ -323,14 +324,16 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_numpy_kernels(tmp_path):
-    # lookups, the lattice and the convolution counter run without numpy;
-    # the generic oracle needs it
+    # lookups, the lattice, the fibered and convolution counters run without
+    # numpy; the generic oracle needs it
     from cfz.counting import builtin_variety
     cache = tmp_path / "c.jsonl"
     cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
                                  "k": 1, "count": 177, "method": "fibered"}) + "\n")
     lines = ["lattice --d 14", "count --variety builtin:X --primes 5..31",
              "count --variety builtin:S --primes 7", "zeta --prime 7",
+             "trace-table --primes 5..13 --no-cache",
+             "count --variety builtin:S --ext 2 --primes 5 --no-cache",
              "count --variety builtin:S --primes 7 --method generic --no-cache"]
     r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *lines], capture_output=True,
                        text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})

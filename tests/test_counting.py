@@ -14,7 +14,7 @@ from cfz.counting import (CHUNK_CELLS, ConvolutionStructureError, CountBudgetErr
                           count_S_fibered, count_variety,
                           group_value_histogram, pairsum_groups,
                           points_on_variety, smoothness_scan)
-from cfz.fields import enumerate_projective, field_of_order, field_tables
+from cfz.fields import enumerate_projective, field_of_order, field_tables, is_prime
 
 S = builtin_variety("S")
 X = builtin_variety("X")
@@ -117,8 +117,56 @@ def test_generic_oracle_memory_is_bounded():
 
 
 def _fibers(q, pts):
-    tables = field_tables(field_of_order(q)).tolist()
+    tables = field_tables(field_of_order(q))
     return sum(_s_fiber_count(pt, tables) for pt in pts)
+
+
+def _oracle(q):
+    # the per-fiber count over the whole base, no character sum
+    return _fibers(q, enumerate_projective(q, 2))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 100) if is_prime(p)])
+def test_character_sum_matches_fiber_oracle(p):
+    # p = 1 and p = 3 mod 4 both occur, so chi(-1) takes both signs
+    assert count_S_fibered(p, 1).count == _oracle(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_character_sum_matches_fiber_oracle_over_gf_p2(p):
+    assert count_S_fibered(p, 2).count == _oracle(p * p)
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (11, 1), (13, 1), (5, 2)])
+def test_exact_fibers_are_the_zeros_of_the_discriminant(monkeypatch, p, k):
+    # _s_fiber_count runs once on each base point with
+    # xyz(x^3 + y^3 + z^3) = 0, and nowhere else
+    q = p ** k
+    mul, add = field_tables(field_of_order(q))[:2]
+    calls = []
+
+    def counted(pt, tables):
+        calls.append(pt)
+        return _s_fiber_count(pt, tables)
+
+    def c(x, y, z):
+        cubes = add[add[mul[mul[x][x]][x]][mul[mul[y][y]][y]]][mul[mul[z][z]][z]]
+        return mul[mul[mul[x][y]][z]][cubes]
+
+    monkeypatch.setattr(counting, "_s_fiber_count", counted)
+    count_S_fibered(p, k)
+    zeros = [pt for pt in enumerate_projective(q, 2) if c(*pt) == 0]
+    assert sorted(calls) == sorted(zeros)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fibered_count_over_cubic_extensions(p):
+    q = p ** 3
+    n = count_S_fibered(p, 3).count
+    assert n == _oracle(q)
+    assert abs(n - 1 - q * q) <= 22 * q
+    assert count_variety(S, p, k=3).method == "fibered"
 
 
 def test_degenerate_fibers_contribute_whole_lines():

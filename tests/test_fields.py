@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -59,17 +60,19 @@ def _full_tables(field):
         for j, b in enumerate(elems):
             mul[i, j] = (a * b).encoding
             add[i, j] = (a + b).encoding
-    # the shared table set the counters use must agree with element arithmetic
+    # the shared list tables the counters use must agree with element arithmetic
     shared = field_tables(field)
-    assert np.array_equal(shared.mul, mul)
-    assert np.array_equal(shared.add, add)
-    assert shared.neg.tolist() == [(-a).encoding for a in elems]
-    assert shared.inv.tolist() == [0] + [a.inverse().encoding for a in elems[1:]]
-    assert shared.chi.tolist() == [quadratic_character(a) for a in elems]
+    assert shared.mul == mul.tolist()
+    assert shared.add == add.tolist()
+    assert shared.neg == [(-a).encoding for a in elems]
+    assert shared.inv == [0] + [a.inverse().encoding for a in elems[1:]]
+    assert shared.chi == [quadratic_character(a) for a in elems]
     return elems, mul, add
 
 
-@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49])
+# GF(121) and GF(125) search a generator in an extension and add on two and
+# three base-p digits
+@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125])
 def test_field_axioms_exhaustive(q):
     field = field_of_order(q)
     elems, mul, add = _full_tables(field)
@@ -94,6 +97,21 @@ def test_field_axioms_exhaustive(q):
         assert (a + (-a)).is_zero
         if not a.is_zero:
             assert a * a.inverse() == field.one()
+
+
+def test_table_entries_share_int_objects():
+    # mul and add hold q^2 pointers each into one list(range(q)); an int
+    # object per entry would add 28 bytes to each of them
+    q = 499
+    field = field_of_order(q)
+    field_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        field_tables(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 * 8 * q ** 2
 
 
 def test_prime_field_smoke():

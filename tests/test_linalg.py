@@ -42,7 +42,7 @@ def _tables():
     from cfz.fields import field_of_order, field_tables
     from cfz.grassmann import _prime_tables
     return [(2, _prime_tables(2)), (3, _prime_tables(3)),
-            (25, field_tables(field_of_order(25)).tolist())]
+            (25, field_tables(field_of_order(25)))]
 
 
 def _span_size(rows, q, tables):
