@@ -8,13 +8,20 @@ counters with very different shapes, kept deliberately independent so
 they can cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
-  product of canonical projective points and evaluates every defining
-  polynomial, gathering table entries through numpy.  It streams over
-  block 0: each slice of block 0's points, times all points of the later
-  blocks, spans about CHUNK_CELLS = 2^18 grid cells, and block 0 itself
+  product of canonical projective points and tests every defining
+  polynomial for zero, gathering table entries through numpy.  A term is
+  one row-then-column gather from ``spread_mul``, which holds each
+  product in spread form (its base-p digits in base-B slots wide enough
+  for a sum of g terms), so the terms add as plain int64 sums and one
+  ``fold`` lookup per g terms maps the slot sums back to the encoding of
+  the field sum; ``fold[acc] == 0`` is the zero test.  The first equation
+  is tested on the whole grid, each later one only at the cells where the
+  earlier ones vanish, about 1/q of them.  The oracle streams over block
+  0: each slice of block 0's points, times all points of the later
+  blocks, spans about CHUNK_CELLS = 2^17 grid cells, and block 0 itself
   is enumerated slice by slice.  Memory is therefore bounded by a few
   chunk-sized int64 grids plus arrays the size of the later blocks (their
-  points, and each term's monomial values on them): ~7 MiB for the
+  points, and each term's monomial values on them): ~3 MiB for the
   builtin surface over GF(49), whatever the evaluation budget allows.
   ``points_on_variety`` and ``smoothness_scan`` collect their points
   through the same slices, in the order of the full enumeration.
@@ -40,9 +47,9 @@ All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (p - 1) and verifies exactness.
 
 numpy is imported inside the generic oracle's kernels only, which convert
-the list tables once through ``FieldTables.arrays``, so a count served from
-the cache, by the fibered counter or by the convolution counter never
-loads it.
+the list tables once (the mul table, or all of them through
+``FieldTables.arrays``), so a count served from the cache, by the fibered
+counter or by the convolution counter never loads it.
 """
 
 import hashlib
@@ -62,8 +69,8 @@ from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
 # cells of the product grid the generic oracle evaluates at once; each
-# int64 grid of this size is 2 MiB
-CHUNK_CELLS = 1 << 18
+# int64 grid of this size is 1 MiB
+CHUNK_CELLS = 1 << 17
 COUNT_METHODS = ("generic", "fibered", "convolution")
 
 
@@ -212,11 +219,11 @@ def _monomial_values(exps, coords, mul):
     """Encodings of the monomial with exponents exps at each row of coords."""
     import numpy as np
 
-    mono = np.ones(len(coords), dtype=np.int64)
+    mono = None
     for i, e in enumerate(exps):
         for _ in range(e):
-            mono = mul[mono, coords[:, i]]
-    return mono
+            mono = coords[:, i] if mono is None else mul[mono, coords[:, i]]
+    return np.ones(len(coords), dtype=np.int64) if mono is None else mono
 
 
 def _equation_terms(spec, rest, p, mul):
@@ -235,53 +242,114 @@ def _equation_terms(spec, rest, p, mul):
     return equations
 
 
-def _poly_values_on_grid(terms, head, tables):
-    """Encodings of one equation on the grid of block-0 points head times
-    all points of the later blocks."""
-    mul, add = tables.mul, tables.add.ravel()
-    q = len(mul)
-    acc = None
-    for coeff, exps0, monos in terms:
-        grid = mul[coeff, _monomial_values(exps0, head, mul)]
-        for m in monos:
-            # the mul-table rows of the grid's values, then their columns m:
-            # one contiguous gather per row, not one per cell
-            grid = mul[grid][..., m]
-        if acc is None:
-            acc = grid
-        else:
-            acc *= q
-            acc += grid
-            acc = add[acc]
-    return acc
+def _spread_tables(field, mul, nterms):
+    """The derived tables of the zero test: (g, spread_mul, fold).
+
+    A sum of products is kept in spread form: an encoding sum d_i p^i is
+    written sum d_i B^i, its base-p digits in base-B slots with
+    B = g(p - 1) + 1, so up to g spread values add slot by slot without a
+    carry.  spread_mul holds the spread form of every product, and fold
+    maps a slot sum back to the encoding of the field sum, each slot
+    reduced mod p.  g is the most terms of an equation, capped at p + 1 so
+    that fold, with B^k entries, is no larger than mul."""
+    p, k = field.char, field.degree
+    g = min(nterms, p + 1)
+    base = g * (p - 1) + 1
+    spread = _rebase(field.order, p, base, k, p)
+    return g, spread[mul], _rebase(base ** k, base, p, k, p)
 
 
-def _zero_masks(spec, field, tables):
-    """The zero set of the equations, through the table set as arrays, one
-    slice of block 0 at a time.
+def _rebase(n, src, dst, k, p):
+    """Entry s < n: the k base-src digits of s, each mod p, as base-dst digits."""
+    import numpy as np
+
+    s = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    for i in range(k):
+        out += s % src % p * dst ** i
+        s //= src
+    return out
+
+
+def _times(table, value, col, cells):
+    """table[value, col]: on the grid, the rows of value then their columns
+    col, one contiguous gather per row; at cells, one entry per cell."""
+    import numpy as np
+
+    if cells is None:
+        return np.take(table[value], col, axis=-1)
+    return table[value, col]
+
+
+def _term_on(term, head, cells, mul, spread_mul):
+    """Spread form of one term (coefficient, block-0 exponents, monomial
+    values on each later block) on the grid of head times the later blocks
+    when cells is None, else at cells, one index array per block: every
+    factor but the last multiplies through mul, the last through
+    spread_mul."""
+    coeff, exps0, monos = term
+    if cells is None:
+        cols = [_monomial_values(exps0, head, mul)] + monos
+    else:
+        cols = [_monomial_values(exps0, head[cells[0]], mul)] + [
+            m[i] for m, i in zip(monos, cells[1:])]
+    value = coeff
+    for col in cols[:-1]:
+        value = _times(mul, value, col, cells)
+    return _times(spread_mul, value, cols[-1], cells)
+
+
+def _equation_zero(terms, head, cells, mul, spread):
+    """Where one equation vanishes, on the grid or at cells as in
+    ``_term_on``: its terms add as int64 slot sums, folded every g terms."""
+    import numpy as np
+
+    g, spread_mul, fold = spread
+    acc, held = _term_on(terms[0], head, cells, mul, spread_mul), 1
+    for term in terms[1:]:
+        if held == g:  # row 1 of spread_mul spreads an encoding
+            acc, held = spread_mul[1][np.take(fold, acc)], 1
+        acc += _term_on(term, head, cells, mul, spread_mul)
+        held += 1
+    return np.take(fold, acc) == 0
+
+
+def _zero_masks(spec, field, mul):
+    """The zero set of the equations, through the mul table as an array,
+    one slice of block 0 at a time.
 
     Yields (blocks, mask): the point arrays of the slice of block 0 and of
     every later block, and the boolean grid over their product where every
-    equation vanishes.  A slice spans about CHUNK_CELLS grid cells, and
-    block 0 is enumerated slice by slice, so memory is bounded by the chunk
-    and the later blocks' point arrays, whatever the budget allows."""
+    equation vanishes.  The first equation is evaluated on the whole grid,
+    each later one only at the cells where all before it vanish.  A slice
+    spans about CHUNK_CELLS grid cells, and block 0 is enumerated slice by
+    slice, so memory is bounded by the chunk and the later blocks' point
+    arrays, whatever the budget allows."""
     import numpy as np
 
     q = field.order
     rest = _block_point_arrays(q, spec.ambient[1:])
-    equations = _equation_terms(spec, rest, field.char, tables.mul)
+    equations = _equation_terms(spec, rest, field.char, mul)
+    spread = _spread_tables(field, mul, max(map(len, equations), default=1))
     # a later block's gather briefly holds q cells per cell of the grid
     # before it, which only a P^0 block (one point, fewer than q) makes larger
-    cells = math.prod(max(len(a), q) for a in rest)
-    step = max(1, CHUNK_CELLS // cells)
+    per_point = math.prod(max(len(a), q) for a in rest)
+    step = max(1, CHUNK_CELLS // per_point)
     points0 = enumerate_projective(q, spec.ambient[0])
     while True:
         head = np.array(list(islice(points0, step)), dtype=np.int64)
         if not len(head):
             return
-        mask = np.ones([len(head)] + [len(a) for a in rest], dtype=bool)
-        for terms in equations:
-            mask &= _poly_values_on_grid(terms, head, tables) == 0
+        if not equations:
+            mask = np.ones([len(head)] + [len(a) for a in rest], dtype=bool)
+        else:
+            mask = _equation_zero(equations[0], head, None, mul, spread)
+            survivors = np.flatnonzero(mask)
+            for terms in equations[1:]:
+                cells = np.unravel_index(survivors, mask.shape)
+                zero = _equation_zero(terms, head, cells, mul, spread)
+                mask.flat[survivors[~zero]] = False
+                survivors = survivors[zero]
         yield [head] + rest, mask
 
 
@@ -308,8 +376,8 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
 
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    tables = field_tables(field).arrays()
-    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field, tables))
+    mul = np.array(field_tables(field).mul, dtype=np.int64)
+    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field, mul))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
@@ -323,7 +391,7 @@ def _rational_points(spec: VarietySpec, q: int, budget):
     _check_budget(spec, q, budget)
     tables = field_tables(field).arrays()
     found = []
-    for blocks, mask in _zero_masks(spec, field, tables):
+    for blocks, mask in _zero_masks(spec, field, tables.mul):
         idx = np.argwhere(mask)
         found.append(np.concatenate([a[idx[:, b]] for b, a in enumerate(blocks)], axis=1))
     return field, tables, np.concatenate(found)

@@ -97,12 +97,25 @@ def _prime_divisors(n):
     return out
 
 
+def _has_root(f, p):
+    """Whether f, coefficients ascending mod p, vanishes at some a in GF(p)."""
+    for a in range(p):
+        value = 0
+        for c in reversed(f):
+            value = (value * a + c) % p
+        if not value:
+            return True
+    return False
+
+
 def find_irreducible(p: int, k: int) -> tuple:
     """Lexicographically first monic irreducible of degree k over GF(p).
 
     Coefficients ascending, (c0, ..., c_{k-1}, 1); the scan runs over
     (c0, ..., c_{k-1}) in lexicographic order so the result is
-    deterministic.  k = 1 returns x itself.
+    deterministic.  k = 1 returns x itself.  A candidate with a root in
+    GF(p) has a linear factor, so the root test rejects it before
+    ``_is_irreducible``, which confirms the survivors, runs.
     """
     check_good_prime(p)
     if k < 1:
@@ -111,7 +124,7 @@ def find_irreducible(p: int, k: int) -> tuple:
         return (0, 1)
     for tail in product(range(p), repeat=k):
         f = list(tail) + [1]
-        if _is_irreducible(f, p):
+        if not _has_root(f, p) and _is_irreducible(f, p):
             return tuple(f)
     raise FieldError("no irreducible polynomial found")  # unreachable
 
@@ -372,17 +385,19 @@ def _generator(field):
                 if all(field.pow(g, e) != 1 for e in exps))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def field_tables(field) -> FieldTables:
     """The table set of a field, filled on first use from the field's own
     rule.  Every entry is an object of one shared list(range(q)), so a q x q
-    table costs one pointer per entry.  The cache holds a few fields only,
-    so a sweep over many primes does not keep every q x q table alive.
+    table costs one pointer per entry.  The cache holds the latest field
+    only and drops it before building the next, so a sweep over many
+    primes holds one q x q table set at a time.
 
     mul, inv and chi come from the powers g^0, ..., g^(q-2) of a generator
     g: g^i * g^j = g^(i+j), and chi is the parity of the discrete log.  add
     is digitwise addition mod p: the row of a = a0 + p*a1 is the row of a1
     on the higher digits, each block of p entries rotated by a0."""
+    field_tables.cache_clear()
     q, p = field.order, field.p
     elems = list(range(q))
     g = _generator(field)

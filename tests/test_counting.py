@@ -116,6 +116,20 @@ def test_generic_oracle_memory_is_bounded():
     assert _peak_mib(lambda: points_on_variety(S, 49)) < 16
 
 
+def test_prime_sweep_keeps_one_table_set():
+    # mul and add hold one pointer per entry: 2 * 8 * q^2 bytes per table set
+    one_set = 2 * 8 * 1019 ** 2
+    tracemalloc.start()
+    try:
+        for p in (1009, 1013, 1019):
+            count_S_fibered(p, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert one_set / 2 < held < 1.5 * one_set
+    assert peak < 1.5 * one_set
+
+
 def _fibers(q, pts):
     tables = field_tables(field_of_order(q))
     return sum(_s_fiber_count(pt, tables) for pt in pts)

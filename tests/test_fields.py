@@ -168,6 +168,20 @@ def test_find_irreducible():
             assert sum(c * x ** i for i, c in enumerate(f)) % p != 0
 
 
+def _first_irreducible_unfiltered(p, k):
+    # the scan without the root test: the first candidate the ring test accepts
+    for tail in product(range(p), repeat=k):
+        f = list(tail) + [1]
+        if _is_irreducible(f, p):
+            return tuple(f)
+
+
+@pytest.mark.parametrize("p, k", [(p, 2) for p in range(5, 100) if is_prime(p)]
+                         + [(p, 3) for p in range(5, 30) if is_prime(p)])
+def test_root_test_keeps_the_first_irreducible(p, k):
+    assert find_irreducible(p, k) == _first_irreducible_unfiltered(p, k)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         ExtField(5, 2, modulus=(4, 0, 1))  # x^2 + 4 = (x-1)(x+1) mod 5
