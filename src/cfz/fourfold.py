@@ -14,6 +14,7 @@ is the matrix scaled to a leading 1.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +111,7 @@ class LinearMapP5:
     def __matmul__(self, other: "LinearMapP5") -> "LinearMapP5":
         cols = tuple(zip(*other.rows))
         return self._of_int_rows(tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows))
+            tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.rows))
 
     def act_on_poly(self, poly: Poly) -> Poly:
         """(poly o self): substitute each variable by its image linear form."""

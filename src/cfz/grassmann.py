@@ -201,12 +201,22 @@ class SearchBudgetError(RuntimeError):
 
 def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     """Largest projective linear subspace of P^m(GF(q)) inside the
-    decomposable locus, by exhaustion.
+    decomposable locus, by exhaustion through one base point.
 
     The search grows linear cliques: a point of the locus extends a
     subspace already inside it iff the connecting line to every point of
     the subspace stays inside, so candidate sets shrink by intersecting
     adjacency sets, and subspaces are deduplicated by their point sets.
+
+    PGL(n+1, q) acts transitively on the points of Gr(k, n), maps linear
+    subspaces of the locus to such subspaces and keeps both family
+    labels (each is a dimension), so it suffices to grow cliques from
+    ``points[0]``; then only point 0 and its neighbours need adjacency.
+    Counting pairs (point, maximal subspace through it) gives each
+    family's total: npoints * (members through point 0) / |subspace|,
+    with |subspace| = (q^(d+1) - 1)/(q - 1) points; the division is
+    asserted exact.  The witness, the lexicographically least maximal
+    subspace, contains point 0.
 
     When 2k < n - 1 the answer must be n - k and every maximal subspace
     the pencil of k-planes through a fixed (k-1)-plane; both facts are
@@ -217,6 +227,8 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
 
     if not (0 < k < n):
         raise ValueError("need 0 < k < n")
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
     npoints = gaussian_binomial(n + 1, k + 1, q)
     m = len(subset_index(k, n)[0]) - 1
     if npoints > 5000 or q ** (m + 1) > 2_000_000:
@@ -229,8 +241,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     inv_table = np.array(_prime_tables(q)[3], dtype=np.int64)
     pows = np.array([q ** t for t in range(m, -1, -1)], dtype=np.int64)
     lut = np.full(q ** (m + 1), -1, dtype=np.int64)
-    for i, pt in enumerate(points):
-        lut[int(np.dot(pt, pows))] = i
+    lut[arr @ pows] = np.arange(npoints)
 
     def canon_rows(rows):
         rows = rows % q
@@ -238,26 +249,31 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
         lead = rows[np.arange(len(rows)), first]
         return (rows * inv_table[lead][:, None]) % q
 
-    # adjacency and, for each adjacent pair, the point set of their line
-    neighbors = [set() for _ in points]
+    # adjacency among point 0 and its neighbours (every point of a subspace
+    # through point 0 is one) and, for each adjacent pair, their line
+    neighbors = {0: set()}
     line_pts = {}
-    for i in range(len(points) - 1):
-        base = arr[i + 1:]
-        ok = np.ones(len(base), dtype=bool)
+
+    def join(i, later):
+        ok = np.ones(len(later), dtype=bool)
         lam_idx = []
         for lam in range(1, q):
-            rows = canon_rows(arr[i] + lam * base)
-            idxs = lut[rows @ pows]
+            idxs = lut[canon_rows(arr[i] + lam * arr[later]) @ pows]
             lam_idx.append(idxs)
             ok &= idxs >= 0
         for off in np.nonzero(ok)[0]:
-            j = i + 1 + int(off)
+            j = later[off]
             neighbors[i].add(j)
-            neighbors[j].add(i)
+            neighbors.setdefault(j, set()).add(i)
             line = frozenset({i, j} | {int(l[off]) for l in lam_idx})
             line_pts[(i, j)] = line_pts[(j, i)] = line
 
-    level = {frozenset({i}): ((points[i],), neighbors[i]) for i in range(len(points))}
+    join(0, list(range(1, npoints)))
+    near = sorted(neighbors[0])
+    for a, i in enumerate(near):
+        join(i, near[a + 1:])
+
+    level = {frozenset({0}): ((points[0],), neighbors[0])}
     best_dim = 0
     best = level
     while True:
@@ -286,7 +302,13 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
         best_dim += 1
         best = level
 
-    families = _classify_families(best, points_map, points, k, n, q)
+    size = (q ** (best_dim + 1) - 1) // (q - 1)
+    families = []
+    for label, through0 in _classify_families(best, points_map, points, k, n, q):
+        total, rest = divmod(npoints * through0, size)
+        assert not rest, (label, npoints, through0, size)
+        families.append((label, total))
+    families = tuple(families)
     witness_key = min(best, key=sorted)
     witness = best[witness_key][0]
     if 2 * k < n - 1:

@@ -14,6 +14,7 @@ The text grammar accepted by ``parse_poly``:
     factor := var ("^" int)?
 """
 
+import operator
 import re
 
 
@@ -117,14 +118,22 @@ class Poly:
         if len(values) != self.nvars:
             raise ValueError("substitution needs one polynomial per variable")
         nv = values[0].nvars if values else self.nvars
-        result = Poly.zero(nv)
+        if any(v.nvars != nv for v in values):
+            raise ValueError("polynomials over different variable sets")
+        out = {}
         for exps, c in self.terms.items():
-            term = Poly.constant(nv, c)
+            term = {(0,) * nv: c}
             for i, e in enumerate(exps):
-                if e:
-                    term = term * values[i] ** e
-            result = result + term
-        return result
+                for _ in range(e):
+                    prod = {}
+                    for e1, c1 in term.items():
+                        for e2, c2 in values[i].terms.items():
+                            key = tuple(map(operator.add, e1, e2))
+                            prod[key] = prod.get(key, 0) + c1 * c2
+                    term = prod
+            for key, c1 in term.items():
+                out[key] = out.get(key, 0) + c1
+        return Poly(nv, out)
 
     def derivative(self, i: int):
         out = {}

@@ -245,14 +245,23 @@ def test_golden_stdout(name, args):
         assert r.stdout == fh.read()
 
 
-@pytest.mark.parametrize("k, n, q", [(1, 3, 3), (2, 4, 2)])
+@pytest.mark.parametrize("k, n, q", [(1, 3, 3), (2, 4, 2), (1, 4, 3), (2, 5, 2)])
 def test_pluecker_golden_stdout(k, n, q):
-    # together these cover both family labels, frozen from an earlier release
+    # together these cover both family labels, frozen from the search that
+    # grew cliques from every point
     r = run_cli("pluecker", "--k", str(k), "--n", str(n), "--q", str(q))
     assert r.returncode == 0, r.stderr
     with open(os.path.join(GOLDEN, f"pluecker-{k}-{n}-{q}.out"), encoding="utf-8",
               newline="") as fh:
         assert r.stdout == fh.read()
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 9])
+def test_pluecker_rejects_non_prime_q(q):
+    r = run_cli("pluecker", "--k", "1", "--n", "3", "--q", str(q))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {q} is not prime\n"
 
 
 def test_verify_check_names_are_unique():

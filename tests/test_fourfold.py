@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,3 +120,38 @@ def test_matrices_are_integer_and_normalization_is_primitive():
     for g in automorphism_subgroup(gens).elements:
         assert all(type(e) is int for row in g.rows for e in row)
         assert g.normalized() == g
+
+
+def _closure_rows(generators):
+    # reference: breadth-first closure on plain integer matrices, each made
+    # primitive with a positive first nonzero entry
+    def norm(rows):
+        flat = [e for r in rows for e in r]
+        g = math.gcd(*flat) * (1 if next(e for e in flat if e) > 0 else -1)
+        return tuple(tuple(e // g for e in r) for r in rows)
+
+    gens = [norm(g.rows) for g in generators]
+    seen = {norm(identity_map().rows)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                h = norm([[sum(a[i][t] * b[t][j] for t in range(6)) for j in range(6)]
+                          for i in range(6)])
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("generators", [
+    [pair_swap_generator(0), pair_shear_generator(0)],
+    [f(i) for i in range(3) for f in (pair_swap_generator, pair_shear_generator)],
+    [identity_map()],
+], ids=["one-pair", "three-pairs", "identity"])
+def test_group_elements_match_reference_closure(generators):
+    report = automorphism_subgroup(generators)
+    assert [g.rows for g in report.elements] == _closure_rows(generators)
+    assert report.order == len(report.elements)

@@ -3,11 +3,11 @@ from itertools import product
 import pytest
 
 from cfz.grassmann import (LemmaReport, PlueckerVector, SearchBudgetError,
-                           canonical_coords, decomposable_by_search,
-                           echelon_subspaces, evaluate_relation,
-                           gaussian_binomial, grassmannian_points,
-                           is_decomposable, max_linear_subspace_dim,
-                           pluecker_relations)
+                           _classify_families, canonical_coords,
+                           decomposable_by_search, echelon_subspaces,
+                           evaluate_relation, gaussian_binomial,
+                           grassmannian_points, is_decomposable,
+                           max_linear_subspace_dim, pluecker_relations)
 
 
 def test_relation_counts():
@@ -109,3 +109,64 @@ def test_report_json_shape():
     assert set(j) == {"k", "n", "q", "max_dim", "witness_basis", "families"}
     assert j["max_dim"] == 2
     assert isinstance(r, LemmaReport)
+
+
+def _all_starts_search(k, n, q):
+    """Reference: grow linear cliques from every point of Gr(k, n)(GF(q)),
+    with adjacency over all pairs; returns max_dim, witness basis and the
+    family counts, each maximal subspace counted once."""
+    points_map = grassmannian_points(k, n, q)
+    points = sorted(points_map)
+    index = {pt: i for i, pt in enumerate(points)}
+    neighbors = [set() for _ in points]
+    line_pts = {}
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):
+            b = points[j]
+            line = {i, j}
+            for lam in range(1, q):
+                line.add(index.get(canonical_coords(
+                    [(x + lam * y) % q for x, y in zip(a, b)], q)))
+            if None not in line:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+                line_pts[(i, j)] = line_pts[(j, i)] = frozenset(line)
+    level = {frozenset({i}): ((points[i],), neighbors[i]) for i in range(len(points))}
+    best_dim, best = 0, level
+    while True:
+        nxt = {}
+        for pset, (basis, cands) in level.items():
+            for c in cands:
+                tpts = set(pset)
+                tpts.add(c)
+                for s in pset:
+                    tpts |= line_pts[(s, c)]
+                added = tpts - pset
+                if min(added) != c:
+                    continue
+                tkey = frozenset(tpts)
+                if tkey in nxt:
+                    continue
+                new_cands = cands & neighbors[c]
+                for pt in added:
+                    if pt != c:
+                        new_cands = new_cands & neighbors[pt]
+                nxt[tkey] = (basis + (points[c],), new_cands - tkey)
+        if not nxt:
+            break
+        level, best_dim, best = nxt, best_dim + 1, nxt
+    witness = best[min(best, key=sorted)][0]
+    return best_dim, witness, _classify_families(best, points_map, points, k, n, q)
+
+
+@pytest.mark.parametrize("k,n,q", [(1, 3, 2), (1, 4, 2), (1, 3, 3), (2, 4, 2)])
+def test_base_point_search_matches_all_starts(k, n, q):
+    r = max_linear_subspace_dim(k, n, q)
+    assert (r.max_dim, r.witness_basis, r.families) == _all_starts_search(k, n, q)
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 4, 9])
+def test_search_rejects_non_prime_q(q):
+    with pytest.raises(ValueError) as e:
+        max_linear_subspace_dim(1, 3, q)
+    assert f"{q} is not prime" in str(e.value)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from cfz.fields import PrimeField
+from cfz.fourfold import CUBIC, F_FORM, G_FORM
 from cfz.polynomials import (InhomogeneousError, MultiHomPoly, Poly,
                              PolyParseError, parse_poly)
 
@@ -71,6 +74,53 @@ def test_poly_substitute_and_evaluate():
     assert q == x * x + 2 * x * y + y * y + x * y
     assert p.evaluate([3, 4]) == 13
     assert p.evaluate([3, 4], mod=5) == 3
+
+
+def _substitute_term_by_term(poly, values):
+    # reference: each term through Poly arithmetic, one Poly per partial sum
+    nv = values[0].nvars if values else poly.nvars
+    result = Poly.zero(nv)
+    for exps, c in poly.terms.items():
+        term = Poly.constant(nv, c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * values[i] ** e
+        result = result + term
+    return result
+
+
+def _random_poly(rng, nvars, nterms, max_exp, coeffs=range(-3, 4)):
+    return Poly(nvars, {tuple(rng.randrange(max_exp + 1) for _ in range(nvars)):
+                        rng.choice(coeffs) for _ in range(nterms)})
+
+
+def test_substitute_matches_term_by_term_reference():
+    rng = random.Random(9)
+    cases = []
+    for nvars, nv in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        for _ in range(6):
+            poly = _random_poly(rng, nvars, rng.randrange(1, 6), 3)
+            values = [_random_poly(rng, nv, rng.randrange(0, 4), 2) for _ in range(nvars)]
+            cases.append((poly, values))
+    three = [_random_poly(rng, 3, 3, 2) for _ in range(3)]
+    cases += [(Poly.zero(3), three), (Poly.constant(3, 5), three),
+              (Poly.constant(0, 7), [])]
+    x, u, y, v, z, w = (Poly.variable(6, i) for i in range(6))
+    images = [x * F_FORM, u * G_FORM, y * F_FORM, v * G_FORM, z * F_FORM, w * G_FORM]
+    cases += [(CUBIC, images), (F_FORM, images), (G_FORM * G_FORM, images)]
+    for poly, values in cases:
+        got = poly.substitute(values)
+        assert got == _substitute_term_by_term(poly, values)
+        assert all(got.terms.values())
+    assert Poly.zero(3).substitute(three).is_zero
+    assert Poly.constant(3, 5).substitute(three) == Poly.constant(3, 5)
+    assert CUBIC.substitute(images).is_zero
+    assert not G_FORM.substitute(images).is_zero
+
+
+def test_substitute_rejects_mixed_variable_sets():
+    with pytest.raises(ValueError):
+        Poly.variable(2, 0).substitute([Poly.variable(2, 0), Poly.variable(3, 0)])
 
 
 def test_poly_derivative():
