@@ -108,19 +108,45 @@ def cmd_trace_table(args):
     return 0 if all_match else 1
 
 
+def _parse_override(item: str):
+    ptxt, _, rtxt = item.partition(":")
+    try:
+        return int(ptxt), int(rtxt)
+    except ValueError:
+        raise UsageError(f"--residue-override {item!r}: expected P:R") from None
+
+
+def _load_residues(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(data, list) and all(isinstance(x, list) and len(x) == 2 for x in data):
+        try:
+            return [(int(p), int(r)) for p, r in data]
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"{path}: expected a JSON list [[p, r], ...]")
+
+
 def cmd_identify(args):
     cache = None if args.no_cache else CountCache(args.cache)
     spec = builtin_variety("S")
     overrides = {}
     for item in args.residue_override or []:
-        ptxt, rtxt = item.split(":", 1)
-        overrides[int(ptxt)] = int(rtxt)
+        p, r = _parse_override(item)
+        if p in overrides:
+            raise UsageError(f"--residue-override given twice for p = {p}")
+        overrides[p] = r
     if args.residues:
-        with open(args.residues, "r", encoding="utf-8") as fh:
-            residues = [(int(p), int(r)) for p, r in json.load(fh)]
+        if overrides:
+            raise UsageError("--residue-override does not apply to --residues")
+        residues = _load_residues(args.residues)
     else:
+        primes = _parse_primes(args.primes)
+        stray = sorted(set(overrides) - set(primes))
+        if stray:
+            raise UsageError(f"--residue-override for p = {stray[0]}, which is not in --primes")
         residues = []
-        for p in _parse_primes(args.primes):
+        for p in primes:
             if p in overrides:
                 residues.append((p, overrides[p]))
             else:

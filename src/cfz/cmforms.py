@@ -17,7 +17,8 @@ coefficients of the three candidates at 7 are pairwise distinct.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .counting import builtin_variety, count_fermat_cubic, count_pairsum_convolution
 from .fields import check_good_prime, is_prime
@@ -124,17 +125,15 @@ def _check_split_prime(p):
         raise ValueError("2 is excluded with the bad primes")
 
 
-@dataclass(frozen=True)
-class CornacchiaSolution:
+class CornacchiaSolution(namedtuple("CornacchiaSolution", "p L M")):
     """The unique positive (L, M) with 4p = L^2 + 27 M^2."""
 
-    p: int
-    L: int
-    M: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.L * self.L + 27 * self.M * self.M != 4 * self.p:
+    def __new__(cls, p, L, M):
+        if L * L + 27 * M * M != 4 * p:
             raise ValueError("not a solution of 4p = L^2 + 27 M^2")
+        return super().__new__(cls, p, L, M)
 
 
 def cornacchia_4p(p: int) -> CornacchiaSolution:
@@ -239,18 +238,17 @@ def twisted_ap(p: int, twist_index: int) -> EisensteinInt:
     return _coerce(a) * _omega_power(e)
 
 
-@dataclass(frozen=True)
-class NewformDescriptor:
+class NewformDescriptor(namedtuple("NewformDescriptor", "twist_index weight")):
     """One member of the candidate family: weight 3 with CM by Q(sqrt(-3)),
     twisted by the cubic character to the given power.  Index 0 has
     rational coefficients; indices 1 and 2 are complex conjugates."""
 
-    twist_index: int
-    weight: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twist_index not in TWIST_INDICES:
-            raise ValueError(f"twist_index must be 0, 1 or 2, got {self.twist_index}")
+    def __new__(cls, twist_index, weight=3):
+        if twist_index not in TWIST_INDICES:
+            raise ValueError(f"twist_index must be 0, 1 or 2, got {twist_index}")
+        return super().__new__(cls, twist_index, weight)
 
     def coefficient(self, p: int) -> EisensteinInt:
         return twisted_ap(p, self.twist_index)
@@ -279,12 +277,11 @@ def reduce_eisenstein(x: EisensteinInt, p: int, z: int) -> int:
     return (x.a + x.b * z) % p
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
+class IdentificationResult(NamedTuple):
     match: int            # 0, 1, 2 or None
     status: str           # unique | ambiguous | no_match
     checked_primes: tuple
-    embedding_choices: dict = field(default_factory=dict)
+    embedding_choices: dict
     note: str = ""
 
     def to_json(self) -> dict:
@@ -305,14 +302,17 @@ def identify_form(residues) -> IdentificationResult:
     broken by the declared embedding (smallest cube root of unity), which
     makes residues generated under that convention round-trip.
     """
-    pairs = []
+    given = {}
     for p, r in residues:
         check_good_prime(p)
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p = {p}")
-        pairs.append((p, r))
-    pairs = sorted(set(pairs))
-    primes = tuple(sorted({p for p, _ in pairs}))
+        if given.setdefault(p, r) != r:
+            raise ValueError(f"two residues, {given[p]} and {r}, given for p = {p}")
+    if not given:
+        raise ValueError("no residues given")
+    pairs = sorted(given.items())
+    primes = tuple(p for p, _ in pairs)
 
     def survives(idx, embedding_of):
         for p, r in pairs:

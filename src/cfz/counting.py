@@ -52,14 +52,13 @@ the list tables once (the mul table, or all of them through
 counter or by the convolution counter never loads it.
 """
 
-import hashlib
 import json
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from typing import NamedTuple
 
 from .fields import (check_good_prime, enumerate_projective, field_of_order,
                      field_tables, projective_cardinality)
@@ -88,8 +87,7 @@ def enumeration_budget(budget=None) -> int:
     return int(os.environ.get("CFZ_BUDGET", DEFAULT_BUDGET))
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(NamedTuple):
     """One point count: variety name, prime p, extension degree k, N over GF(p^k)."""
 
     name: str
@@ -145,6 +143,8 @@ class VarietySpec:
 
     def sha(self) -> str:
         """Content hash of the canonical spec, used as the cache key."""
+        import hashlib
+
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 

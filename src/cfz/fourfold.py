@@ -16,8 +16,7 @@ is the matrix scaled to a leading 1.
 import math
 import operator
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import det
 from .polynomials import Poly
@@ -35,8 +34,7 @@ G_FORM = _mono((2, 1, 0, 0, 0, 0)) + _mono((0, 0, 2, 1, 0, 0)) + _mono((0, 0, 0,
 CUBIC = F_FORM - G_FORM   # the fourfold equation F - G
 
 
-@dataclass(frozen=True)
-class MapIdentityReport:
+class MapIdentityReport(NamedTuple):
     passed: bool
     residual_terms: tuple   # sorted (exponents, coefficient) pairs, empty on pass
 
@@ -84,6 +82,8 @@ class LinearMapP5:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        from fractions import Fraction
+
         rows = [[Fraction(e) for e in r] for r in rows]
         if len(rows) != 6 or any(len(r) != 6 for r in rows):
             raise ValueError("need a 6x6 matrix")
@@ -172,8 +172,7 @@ def preserves_cubic(g: LinearMapP5) -> bool:
     return composed == CUBIC * lam
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     order: int
     elements: tuple
 

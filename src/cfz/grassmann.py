@@ -14,8 +14,8 @@ the prime tables of ``_prime_tables`` (``fields.field_tables`` rejects
 characteristic 2 and 3 on purpose).
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .fields import is_prime
 from .linalg import det, nullspace, rref
@@ -176,8 +176,7 @@ def decomposable_by_search(v: PlueckerVector) -> bool:
     return canonical_coords(v.coords, v.p) in grassmannian_points(v.k, v.n, v.p)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Result of the exhaustive maximal-subspace search."""
 
     k: int
@@ -185,7 +184,7 @@ class LemmaReport:
     q: int
     max_dim: int
     witness_basis: tuple          # basis rows of the witness subspace, Pluecker coords
-    families: tuple = field(default=())   # (type, count) per classified maximal family
+    families: tuple = ()          # (type, count) per classified maximal family
 
     def to_json(self) -> dict:
         return {

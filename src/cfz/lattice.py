@@ -9,13 +9,12 @@ degree-d K3 surface iff d = 2(n^2 + n + 1) for an integer n >= 2.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 H2_SELF_INTERSECTION = 3
 
 
-@dataclass(frozen=True)
-class GramMatrix2:
+class GramMatrix2(NamedTuple):
     """Gram matrix of <h^2, T>: [[3, h2T], [h2T, TT]]."""
 
     h2T: int

@@ -21,7 +21,8 @@ Bad primes (2 and 3) are rejected throughout; their factors are out of
 scope and never guessed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .fields import check_good_prime
 
@@ -35,8 +36,7 @@ class InconsistentCountError(ArithmeticError, ValueError):
     mathematics disagrees, as opposed to malformed input."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Frobenius trace data extracted from a count N1 = #S(F_p)."""
 
     p: int
@@ -97,17 +97,15 @@ def algebraic_trace_split(t2: int, a_p: int, p: int) -> int:
     return t_alg
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(namedtuple("LocalFactor", "p weight coeffs")):
     """Integer polynomial in T = p^{-s} with constant term 1."""
 
-    p: int
-    weight: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __new__(cls, p, weight, coeffs):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("local factor must have constant term 1")
+        return super().__new__(cls, p, weight, coeffs)
 
     @property
     def degree(self):
@@ -137,19 +135,17 @@ def local_factor_cm(a_p: int, p: int, tate_shift: int) -> LocalFactor:
     return LocalFactor(p, 2 + 2 * tate_shift, (1, -a_p * s, p * p * s * s))
 
 
-@dataclass(frozen=True)
-class CohomologyDecomposition:
+class CohomologyDecomposition(namedtuple("CohomologyDecomposition", "group betti pieces")):
     """Labelled pieces (label, dimension, inverse-root description) of one
     cohomology group; dimensions must sum to the group's Betti number."""
 
-    group: str
-    betti: int
-    pieces: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = sum(dim for _, dim, _ in self.pieces)
-        if total != self.betti:
-            raise ValueError(f"{self.group}: piece dimensions sum to {total}, not {self.betti}")
+    def __new__(cls, group, betti, pieces):
+        total = sum(dim for _, dim, _ in pieces)
+        if total != betti:
+            raise ValueError(f"{group}: piece dimensions sum to {total}, not {betti}")
+        return super().__new__(cls, group, betti, pieces)
 
 
 def fourfold_h4_decomposition(p: int, a_p: int, ns_fixed: int) -> CohomologyDecomposition:

@@ -222,6 +222,34 @@ def test_identify_residues_file(tmp_path):
     assert json.loads(r.stdout)["match"] == 0
 
 
+@pytest.mark.parametrize("args, residues, message", [
+    (["--residue-override", "7:2"], [[7, 1], [13, 12]],
+     "--residue-override does not apply to --residues"),
+    (["--primes", "7", "--residue-override", "11:2"], None,
+     "--residue-override for p = 11, which is not in --primes"),
+    (["--primes", "7", "--residue-override", "7:2", "--residue-override", "7:4"], None,
+     "--residue-override given twice for p = 7"),
+    ([], [], "no residues given"),
+    ([], [[7, 1], [13, 12], [7, 2]], "two residues, 1 and 2, given for p = 7"),
+    (["--primes", "7", "--residue-override", "7x"], None,
+     "--residue-override '7x': expected P:R"),
+    ([], {"7": 1}, "expected a JSON list [[p, r], ...]"),
+], ids=["override-with-file", "override-outside-primes", "override-twice", "empty-file",
+        "file-conflict", "override-malformed", "file-object"])
+def test_identify_rejects_dropped_or_contradictory_input(tmp_path, args, residues, message):
+    # each of these was once ignored, overridden silently, or reported as
+    # a mathematical result
+    if residues is not None:
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps(residues))
+        args = ["--residues", str(path)] + args
+    r = run_cli("identify", *args, "--no-cache")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.endswith(message + "\n")
+    assert r.stderr.count("\n") == 1
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -349,6 +377,36 @@ def test_numpy_loads_only_for_numpy_kernels(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [["import", 0, False]] + [
         [line, 0, line == lines[-1]] for line in lines]
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import cfz, cfz.cli
+LAZY = ("dataclasses", "inspect", "fractions", "hashlib")
+seen = [["import", 0, [m for m in LAZY if m in sys.modules]]]
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cfz.cli.main(line.split())
+    seen.append([line, code, [m for m in LAZY if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_imports_no_dataclasses_fractions_or_hashlib(tmp_path):
+    # records are named tuples; hashlib loads with the first variety sha and
+    # fractions with the first LinearMapP5
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 177, "method": "fibered"}) + "\n")
+    lines = ["lattice --d 14", "count --variety builtin:S --primes 7",
+             "verify --suite forms --primes 7", "verify --suite automorphisms"]
+    r = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *lines], capture_output=True,
+                       text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [
+        ["import", 0, []], [lines[0], 0, []], [lines[1], 0, ["hashlib"]],
+        [lines[2], 0, ["hashlib"]], [lines[3], 0, ["fractions", "hashlib"]]]
 
 
 @pytest.mark.parametrize("bad", [

@@ -181,6 +181,12 @@ def test_identify_input_validation():
         identify_form([(3, 0)])
     with pytest.raises(ValueError):
         identify_form([(7, 9)])
+    with pytest.raises(ValueError, match="no residues given"):
+        identify_form([])
+    with pytest.raises(ValueError, match="two residues, 1 and 2, given for p = 7"):
+        identify_form([(7, 1), (13, 12), (7, 2)])
+    # a repeated pair is one residue, not a contradiction
+    assert identify_form([(7, 1), (7, 1)]) == identify_form([(7, 1)])
 
 
 def test_fermat_comparison():
