@@ -10,9 +10,8 @@ from .counting import (CountRecord, VarietySpec, builtin_variety,
                        count_fermat_cubic, count_pairsum_convolution,
                        count_points_generic, count_S_fibered, count_variety,
                        points_on_variety)
-from .fields import (ExtField, FieldElement, PrimeField, enumerate_projective,
-                     field_of_order, find_irreducible, quadratic_character,
-                     quadratic_root_count)
+from .fields import (FiniteField, enumerate_projective, field_of_order,
+                     field_tables, find_irreducible, quadratic_root_count)
 from .fourfold import (LinearMapP5, automorphism_subgroup,
                        verify_pfaffian_map_identity)
 from .grassmann import (PlueckerVector, is_decomposable,

@@ -285,8 +285,7 @@ def _hilbert_square_orbit_check(p):
     a GF(p)-point is an unordered pair of rational points, a conjugate
     pair, or a rational point with one of its p + 1 tangent directions."""
     n1 = count_S_fibered(p, 1).count
-    pts = [tuple(x.encoding for blk in pt for x in blk)
-           for pt in points_on_variety(builtin_variety("S"), p * p)]
+    pts = points_on_variety(builtin_variety("S"), p * p)
     field = field_of_order(p * p)
     frobenius = [field.pow(e, p) for e in range(field.order)]
     index = {pt: i for i, pt in enumerate(pts)}

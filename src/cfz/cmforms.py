@@ -129,6 +129,7 @@ class CornacchiaSolution(namedtuple("CornacchiaSolution", "p L M")):
     """The unique positive (L, M) with 4p = L^2 + 27 M^2."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, p, L, M):
         if L * L + 27 * M * M != 4 * p:
@@ -244,6 +245,7 @@ class NewformDescriptor(namedtuple("NewformDescriptor", "twist_index weight")):
     rational coefficients; indices 1 and 2 are complex conjugates."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, twist_index, weight=3):
         if twist_index not in TWIST_INDICES:

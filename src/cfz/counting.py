@@ -1,11 +1,12 @@
 """Point counting for varieties in products of projective spaces.
 
-Every counter here works on integer encodings of field elements and does
-its arithmetic through the one table set of ``fields.field_tables``
-(mul, add, neg, inv, chi); ``FieldElement`` objects appear only in the
-return values of ``points_on_variety`` and ``smoothness_scan``.  Three
-counters with very different shapes, kept deliberately independent so
-they can cross-check each other:
+Every function here takes and returns integer encodings of field
+elements and does its arithmetic through the one table set of
+``fields.field_tables`` (mul, add, neg, inv, chi); ``points_on_variety``
+and ``smoothness_scan`` return one flat tuple of encodings per point, the
+coordinates of all blocks in the spec's variable order.  Three counters
+with very different shapes, kept deliberately independent so they can
+cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and tests every defining
@@ -33,8 +34,9 @@ they can cross-check each other:
   to a nonzero square.  The counter sums the quadratic character of that
   value over the base, row by row through list tables, and counts the
   O(q) fibers where it vanishes (on xyz = 0 or on the Fermat cubic curve)
-  one by one with ``_s_fiber_count``, which also sees the fibers whose
-  restriction vanishes identically, a full line of q + 1 points.  One
+  one by one with ``_s_fiber_count``, which counts the zeros of the
+  restriction through ``fields.quadratic_root_count`` and so also sees the
+  fibers where it vanishes identically, a full line of q + 1 points.  One
   loop serves GF(p^k) for every k.
 
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
@@ -61,9 +63,9 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .fields import (check_good_prime, enumerate_projective, field_of_order,
-                     field_tables, projective_cardinality)
+                     field_tables, projective_cardinality, quadratic_root_count)
 from .linalg import rref
-from .polynomials import MultiHomPoly, parse_poly
+from .polynomials import parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
@@ -99,10 +101,6 @@ class CountRecord(NamedTuple):
     def to_json(self) -> dict:
         return {"name": self.name, "p": self.p, "k": self.k,
                 "count": self.count, "method": self.method}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["name"], d["p"], d["k"], d["count"], d["method"])
 
 
 class VarietySpec:
@@ -397,20 +395,9 @@ def _rational_points(spec: VarietySpec, q: int, budget):
     return field, tables, np.concatenate(found)
 
 
-def _as_point(field, row, blocks):
-    """One row of coordinate encodings as a tuple of field-element tuples."""
-    out = []
-    start = 0
-    for b in blocks:
-        out.append(tuple(field.from_encoding(e) for e in row[start:start + len(b)]))
-        start += len(b)
-    return tuple(out)
-
-
 def points_on_variety(spec: VarietySpec, q: int, budget=None):
-    """All rational points, as tuples (one per block) of field-element tuples."""
-    field, _, coords = _rational_points(spec, q, budget)
-    return [_as_point(field, row, spec.blocks) for row in coords.tolist()]
+    """All rational points, one flat tuple of coordinate encodings each."""
+    return list(map(tuple, _rational_points(spec, q, budget)[2].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +406,7 @@ def points_on_variety(spec: VarietySpec, q: int, budget=None):
 def _s_fiber_count(xyz, tables) -> int:
     """Points of S above one base point [x:y:z]: zeros of the first equation
     on the line cut by the second.  Encodings in, list tables."""
-    mul, add, neg, inv, chi = tables
+    mul, add, neg, inv, _ = tables
     x, y, z = xyz
     c0, c1, c2 = mul[x][x], mul[y][y], mul[z][z]
     # two points spanning the line c0*u + c1*v + c2*w = 0
@@ -435,11 +422,8 @@ def _s_fiber_count(xyz, tables) -> int:
         return add[add[mul[x][mul[u[0]][v[0]]]][mul[y][mul[u[1]][v[1]]]]][
             mul[z][mul[u[2]][v[2]]]]
 
-    qa, qc, cross = form(b1, b1), form(b2, b2), form(b1, b2)
-    if not (qa or qc or cross):
-        return len(neg) + 1  # the restriction vanishes on the whole line
-    # qa*U^2 + 2*cross*UV + qc*V^2 has discriminant 4*(cross^2 - qa*qc), 4 a square
-    return 1 + chi[add[mul[cross][cross]][neg[mul[qa][qc]]]]
+    # the restriction is qa*U^2 + 2*cross*UV + qc*V^2
+    return quadratic_root_count(form(b1, b1), mul[2][form(b1, b2)], form(b2, b2), tables)
 
 
 def count_S_fibered(p: int, k: int = 1) -> CountRecord:
@@ -591,7 +575,7 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
             local_cols.extend(i for i in range(lo, hi) if i != lead)
         jac = [[partials[r][c][n] for c in local_cols] for r in range(len(polys))]
         if len(rref(jac, lists)[1]) < len(polys):
-            bad.append(_as_point(field, row, spec.blocks))
+            bad.append(tuple(row))
     return bad
 
 

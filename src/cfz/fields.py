@@ -1,5 +1,5 @@
-"""Exact arithmetic in GF(p) and GF(p^k), quadratic characters, and
-projective point enumeration.
+"""Exact arithmetic in GF(p) and GF(p^k) on integer encodings, the
+lookup tables the counters use, and projective point enumeration.
 
 Fields of characteristic 2 and 3 are rejected at construction: the
 root-counting kernel below needs odd field order, and 3 is the bad prime
@@ -8,15 +8,16 @@ are the one statement of that rule for the whole package.
 
 GF(p^k) is GF(p)[x]/(m) for a monic irreducible modulus m, by default
 the lexicographically first one (see ``find_irreducible``), so that every
-count is reproducible across runs.  The only stored form of an element is
-its integer encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients
-c_i of its residue class.  One rule on encodings (``FiniteField.add``,
-``neg`` and ``mul``) does all arithmetic: ``FieldElement`` is a thin
-immutable facade over it for the public API, and ``field_tables`` fills
-the counters' lookup tables (mul, add, neg, inv, chi) as Python lists on
-first use, from a generator of GF(q)* found by that rule.  The same rule,
-in the quotient ring GF(p)[x]/(f), also decides whether a modulus f is
-irreducible (``_is_irreducible``).
+count is reproducible across runs.  An element is only ever its integer
+encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients c_i of its
+residue class; since p >= 5, the small constants 0 to 4 encode as
+themselves.  One rule on encodings (``FiniteField.add``, ``neg``, ``mul``
+and ``pow``) does all arithmetic, and ``field_tables`` fills the
+counters' lookup tables (mul, add, neg, inv, chi) from it as Python
+lists on first use, from a generator of GF(q)* found by that rule.  The
+same rule, in the quotient ring GF(p)[x]/(f), also decides whether a
+modulus f is irreducible (``_is_irreducible``).  ``FiniteField(p, k)``
+and ``field_of_order(q)`` are the two ways to build a field.
 """
 
 from functools import lru_cache
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 
 class FieldError(ValueError):
-    """Invalid field construction or operation (mixed fields, zero division)."""
+    """Invalid field construction: bad characteristic, order or modulus."""
 
 
 def is_prime(n: int) -> bool:
@@ -130,15 +131,15 @@ def find_irreducible(p: int, k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fields and elements
+# fields
 
 class FiniteField:
     """GF(p^k) as GF(p)[x]/(modulus), p >= 5, monic irreducible modulus of
     degree k (x itself for k = 1).
 
-    ``add``, ``neg`` and ``mul`` are the field's arithmetic on encodings,
-    the one rule that single elements and the table set of
-    ``field_tables`` compute through.
+    ``add``, ``neg``, ``mul`` and ``pow`` are the field's arithmetic on
+    encodings, the one rule that the table set of ``field_tables`` and
+    every single-element computation go through.
     """
 
     __slots__ = ("p", "k", "modulus")
@@ -218,33 +219,6 @@ class FiniteField:
             e >>= 1
         return result
 
-    def element(self, value) -> "FieldElement":
-        """Build an element from an integer (constant embedding) or coefficients."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element from a different field")
-            return value
-        if isinstance(value, (tuple, list)):
-            if len(value) > self.k:
-                raise FieldError("too many coefficients")
-            return FieldElement(self, self._encode(value))
-        return FieldElement(self, int(value) % self.p)
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
-    def from_encoding(self, e: int) -> "FieldElement":
-        if not 0 <= e < self.order:
-            raise FieldError(f"encoding {e} out of range for {self!r}")
-        return FieldElement(self, e)
-
-    def elements(self):
-        for e in range(self.order):
-            yield FieldElement(self, e)
-
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and other.p == self.p
                 and other.k == self.k and other.modulus == self.modulus)
@@ -256,19 +230,6 @@ class FiniteField:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-def PrimeField(p: int) -> FiniteField:
-    """GF(p) for a prime p >= 5."""
-    return FiniteField(p)
-
-
-def ExtField(base, k: int, modulus=None) -> FiniteField:
-    """GF(p^k), k >= 2, over base = p or GF(p), default modulus from
-    ``find_irreducible``."""
-    if k < 2:
-        raise FieldError(f"extension degree must be >= 2, got {k} (use PrimeField)")
-    return FiniteField(base if isinstance(base, int) else base.p, k, modulus)
-
-
 @lru_cache(maxsize=None)
 def field_of_order(q: int):
     """The field with q = p^k elements (p >= 5; default modulus for k >= 2).
@@ -277,85 +238,13 @@ def field_of_order(q: int):
     modulus, and a field is immutable, so every caller can share it."""
     if q < 5:
         raise FieldError(f"field order {q} not supported (char 2 and 3 excluded)")
-    p = None
-    for d in range(2, q + 1):
-        if d * d > q and p is None:
-            p = q
-            break
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    m = q
-    while m % p == 0 and m > 1:
-        m //= p
-        k += 1
-    if m != 1:
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
         raise FieldError(f"{q} is not a prime power")
+    p, k = primes[0], 1
+    while p ** k < q:
+        k += 1
     return FiniteField(p, k)
-
-
-class FieldElement:
-    """Element of GF(p^k): its field and its encoding in [0, p^k), immutable."""
-
-    __slots__ = ("field", "encoding")
-
-    def __init__(self, field, encoding: int):
-        self.field = field
-        self.encoding = encoding
-
-    @property
-    def is_zero(self):
-        return self.encoding == 0
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise FieldError(f"cannot combine field element with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldError(f"mixed fields: {self.field!r} and {other.field!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.encoding, other.encoding))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.encoding))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.encoding, other.encoding))
-
-    def inverse(self):
-        if self.is_zero:
-            raise FieldError("division by zero")
-        return FieldElement(self.field, self.field.pow(self.encoding, self.field.order - 2))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(self.field, self.field.pow(self.encoding, e))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.element(other)
-        return (isinstance(other, FieldElement) and other.field == self.field
-                and other.encoding == self.encoding)
-
-    def __hash__(self):
-        return hash((self.field, self.encoding))
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.encoding} in {self.field!r}"
-        return f"{self.field._digits(self.encoding)} in {self.field!r}"
 
 
 class FieldTables(NamedTuple):
@@ -430,27 +319,17 @@ def field_tables(field) -> FieldTables:
 # ---------------------------------------------------------------------------
 # characters and root counting
 
-def quadratic_character(a: FieldElement) -> int:
-    """0 on zero, +1 on nonzero squares, -1 on nonsquares (odd field order)."""
-    if a.is_zero:
-        return 0
-    return 1 if a.field.pow(a.encoding, (a.field.order - 1) // 2) == 1 else -1
-
-
-def quadratic_root_count(a: FieldElement, b: FieldElement, c: FieldElement) -> int:
-    """Number of projective zeros of a*U^2 + b*UV + c*V^2 on P^1(F_q).
+def quadratic_root_count(a: int, b: int, c: int, tables: FieldTables) -> int:
+    """Number of projective zeros of a*U^2 + b*UV + c*V^2 on P^1(F_q), for
+    encodings a, b, c and the field's table set.
 
     Identically zero forms contribute the whole line, q + 1 points;
     otherwise the count is 1 + chi(b^2 - 4ac).
     """
-    a._check(b)
-    a._check(c)
-    field = a.field
-    if a.is_zero and b.is_zero and c.is_zero:
-        return field.order + 1
-    four = field.element(4)
-    disc = b * b - four * a * c
-    return 1 + quadratic_character(disc)
+    mul, add, neg, _, chi = tables
+    if not (a or b or c):
+        return len(chi) + 1
+    return 1 + chi[add[mul[b][b]][neg[mul[4][mul[a][c]]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +356,8 @@ def enumerate_projective(q: int, n: int):
 
 
 def projective_points(field, n: int):
-    """Canonical points of P^n(field) as tuples of field elements."""
-    cache = [field.from_encoding(e) for e in range(field.order)]
-    for pt in enumerate_projective(field.order, n):
-        yield tuple(cache[e] for e in pt)
+    """Canonical points of P^n(field) as encoding tuples.
+
+    No caller in the package: it stays only while the benchmark's tracer
+    names it (ROADMAP item 3); ``enumerate_projective`` is the same walk."""
+    yield from enumerate_projective(field.order, n)

@@ -167,15 +167,6 @@ def canonical_coords(coords, p):
     return tuple((c * inv) % p for c in coords)
 
 
-def decomposable_by_search(v: PlueckerVector) -> bool:
-    """Oracle: membership of [v] in the enumerated Pluecker image (finite p)."""
-    if v.p is None:
-        raise ValueError("the search oracle needs a finite field")
-    if v.is_zero:
-        raise ValueError("the zero vector is not a point of projective space")
-    return canonical_coords(v.coords, v.p) in grassmannian_points(v.k, v.n, v.p)
-
-
 class LemmaReport(NamedTuple):
     """Result of the exhaustive maximal-subspace search."""
 

@@ -27,11 +27,6 @@ class GramMatrix2(NamedTuple):
     def rows(self):
         return ((self.h2h2, self.h2T), (self.h2T, self.TT))
 
-    def shift_basis(self, m: int) -> "GramMatrix2":
-        """Gram matrix after T -> T + m*h^2; the discriminant is unchanged."""
-        return GramMatrix2(self.h2T + self.h2h2 * m,
-                           self.TT + 2 * m * self.h2T + self.h2h2 * m * m)
-
 
 def discriminant(g: GramMatrix2) -> int:
     return g.h2h2 * g.TT - g.h2T * g.h2T

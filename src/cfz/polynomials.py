@@ -14,6 +14,7 @@ The text grammar accepted by ``parse_poly``:
     factor := var ("^" int)?
 """
 
+import math
 import operator
 import re
 
@@ -60,9 +61,6 @@ class Poly:
     @property
     def is_zero(self):
         return not self.terms
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -145,21 +143,12 @@ class Poly:
         return Poly(self.nvars, out)
 
     def evaluate(self, values, mod=None):
-        """Evaluate at scalars (ints, or anything with * and +)."""
+        """Evaluate at integers, reduced mod ``mod`` when one is given."""
         if len(values) != self.nvars:
             raise ValueError("evaluation needs one value per variable")
-        total = None
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(values, exps):
-                for _ in range(e):
-                    v = v * x
-            total = v if total is None else total + v
-            if mod is not None and isinstance(total, int):
-                total %= mod
-        if total is None:
-            return 0 if mod is None else 0
-        return total % mod if (mod is not None and isinstance(total, int)) else total
+        total = sum(c * math.prod(x ** e for x, e in zip(values, exps))
+                    for exps, c in self.terms.items())
+        return total if mod is None else total % mod
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -247,19 +236,6 @@ class MultiHomPoly:
             else:
                 parts.append(t)
         return "".join(parts)
-
-    def evaluate(self, block_points):
-        """Evaluate at one field-element tuple per block; returns a field element."""
-        values = [x for pt in block_points for x in pt]
-        field = values[0].field
-        total = field.zero()
-        for exps, c in self.poly.terms.items():
-            v = field.element(c)
-            for x, e in zip(values, exps):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, MultiHomPoly) and other.blocks == self.blocks

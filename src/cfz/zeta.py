@@ -7,15 +7,18 @@ factor list of the fourfold is assembled from the surface data:
 
     P0 = 1 - T
     P2 = 1 - pT
-    P4 = (1 - p^2 T)^{m+} (1 + p^2 T)^{m-} (1 - p^2 T) (1 - p a_p T + p^4 T^2)
+    P4 = (1 - p^2 T)^{m+} (1 + p^2 T)^{m-} (1 - p^2 T) (1 - p a_p T + e p^4 T^2)
     P6 = 1 - p^3 T
     P8 = 1 - p^4 T
 
 with m+ + m- = 20 the rank of the algebraic part of H^2 of the surface,
 m+ - m- the signed number of Frobenius-fixed algebraic classes, the lone
 (1 - p^2 T) the class of the exceptional divisor, and the quadratic the
-weight-3 CM form factor shifted by one Tate twist.  Everything is exact
-integer arithmetic; there are no floating-point eigenvalues anywhere.
+weight-3 CM form factor shifted by one Tate twist.  That form has
+nebentypus chi_{-3}, so e = chi_{-3}(p) is +1 at primes 1 mod 3 and -1 at
+the inert primes 2 mod 3, where a_p = 0 and the factor is 1 - p^4 T^2.
+Everything is exact integer arithmetic; there are no floating-point
+eigenvalues anywhere.
 
 Bad primes (2 and 3) are rejected throughout; their factors are out of
 scope and never guessed.
@@ -101,6 +104,7 @@ class LocalFactor(namedtuple("LocalFactor", "p weight coeffs")):
     """Integer polynomial in T = p^{-s} with constant term 1."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, p, weight, coeffs):
         if not coeffs or coeffs[0] != 1:
@@ -123,16 +127,22 @@ def _poly_mul(a, b):
     return out
 
 
+def _chi_minus3(p: int) -> int:
+    """The nebentypus of the CM form at a good prime: +1 if p = 1 mod 3,
+    -1 if p = 2 mod 3."""
+    return 1 if p % 3 == 1 else -1
+
+
 def local_factor_cm(a_p: int, p: int, tate_shift: int) -> LocalFactor:
-    """Degree-2 factor of the CM form, 1 - a_p T + p^2 T^2, with each Tate
-    shift multiplying the inverse roots by p."""
+    """Degree-2 factor of the CM form, 1 - a_p T + chi_{-3}(p) p^2 T^2, with
+    each Tate shift multiplying the inverse roots by p."""
     check_good_prime(p)
     if abs(a_p) > 2 * p:
         raise ValueError(f"|a_p| = {abs(a_p)} violates the weight-3 bound 2p = {2 * p}")
     if tate_shift not in (0, 1):
         raise ValueError("tate_shift must be 0 or 1")
     s = p ** tate_shift
-    return LocalFactor(p, 2 + 2 * tate_shift, (1, -a_p * s, p * p * s * s))
+    return LocalFactor(p, 2 + 2 * tate_shift, (1, -a_p * s, _chi_minus3(p) * p * p * s * s))
 
 
 class CohomologyDecomposition(namedtuple("CohomologyDecomposition", "group betti pieces")):
@@ -140,6 +150,7 @@ class CohomologyDecomposition(namedtuple("CohomologyDecomposition", "group betti
     cohomology group; dimensions must sum to the group's Betti number."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, group, betti, pieces):
         total = sum(dim for _, dim, _ in pieces)
@@ -159,7 +170,7 @@ def fourfold_h4_decomposition(p: int, a_p: int, ns_fixed: int) -> CohomologyDeco
             ("NS(S)(1) fixed", m_plus, f"eigenvalue {p * p}"),
             ("NS(S)(1) flipped", m_minus, f"eigenvalue {-p * p}"),
             ("Delta(1)", 1, f"eigenvalue {p * p}"),
-            ("T(S)(1)", 2, f"roots of 1 - {p * a_p} T + {p ** 4} T^2"),
+            ("T(S)(1)", 2, f"roots of 1 - {p * a_p} T {_sign(p)} {p ** 4} T^2"),
         ))
 
 
@@ -173,8 +184,13 @@ def hilbert_square_h2_decomposition(p: int, a_p: int, ns_fixed: int) -> Cohomolo
             ("NS(S) fixed", m_plus, f"eigenvalue {p}"),
             ("NS(S) flipped", m_minus, f"eigenvalue {-p}"),
             ("Delta", 1, f"eigenvalue {p}"),
-            ("T(S)", 2, f"roots of 1 - {a_p} T + {p * p} T^2"),
+            ("T(S)", 2, f"roots of 1 - {a_p} T {_sign(p)} {p * p} T^2"),
         ))
+
+
+def _sign(p: int) -> str:
+    """The sign of the T^2 coefficient of the CM factor at p."""
+    return "+" if _chi_minus3(p) > 0 else "-"
 
 
 def _ns_split(ns_fixed: int):
@@ -206,12 +222,18 @@ def assemble_fourfold_factors(p: int, a_p: int, ns_fixed: int):
     ]
 
 
-def reconstruct_count(factors) -> int:
-    """Point count over GF(p) from the degree-1 coefficient of the
-    logarithmic expansion of the factor list (alternating by weight)."""
-    total = 0
-    for f in factors:
-        c1 = f.coeffs[1] if len(f.coeffs) > 1 else 0
-        trace = -c1
-        total += trace if f.weight % 2 == 0 else -trace
-    return total
+def power_sums(coeffs, k: int):
+    """s_1, ..., s_k, s_j the sum of the j-th powers of the inverse roots
+    of 1 + c_1 T + c_2 T^2 + ..., by Newton's identities:
+    s_j = -j c_j - sum_{i < j} c_i s_{j-i}, with c_i = 0 past the degree."""
+    c = list(coeffs) + [0] * k
+    sums = []
+    for j in range(1, k + 1):
+        sums.append(-j * c[j] - sum(c[i] * sums[j - i - 1] for i in range(1, j)))
+    return sums
+
+
+def reconstruct_count(factors, k: int = 1) -> int:
+    """Point count over GF(p^k) from the factor list: the alternating sum
+    over weights of the k-th power sums of the inverse roots."""
+    return sum((-1) ** f.weight * power_sums(f.coeffs, k)[-1] for f in factors)

@@ -5,32 +5,56 @@ import numpy as np
 import pytest
 
 from cfz import fields
-from cfz.fields import (ExtField, FieldError, PrimeField, _is_irreducible,
+from cfz.fields import (FieldError, FiniteField, _is_irreducible,
                         enumerate_projective, field_of_order, field_tables,
                         find_irreducible, is_prime, projective_cardinality,
-                        projective_points, quadratic_character, quadratic_root_count)
+                        projective_points, quadratic_root_count)
 
 GOOD_PRIMES = [5, 7, 11, 13]
+
+
+def _chi(field, a):
+    """Euler's criterion: 0 on zero, a^((q-1)/2) = +1 or -1 otherwise."""
+    if not a:
+        return 0
+    return 1 if field.pow(a, (field.order - 1) // 2) == 1 else -1
+
+
+def _inverse(field, a):
+    return field.pow(a, field.order - 2)
 
 
 def test_rejects_characteristic_2_and_3():
     for p in (2, 3):
         with pytest.raises(FieldError):
-            PrimeField(p)
+            FiniteField(p)
     with pytest.raises(FieldError):
-        PrimeField(9)  # not prime
-    with pytest.raises(FieldError):
-        field_of_order(8)
-    with pytest.raises(FieldError):
-        field_of_order(27)
+        FiniteField(9)  # not prime
 
 
 def test_field_of_order():
     assert field_of_order(7).order == 7
     assert field_of_order(49).order == 49
-    assert field_of_order(125).order == 125
-    with pytest.raises(FieldError):
-        field_of_order(10)
+    assert field_of_order(49) == FiniteField(7, 2)
+
+
+@pytest.mark.parametrize("q, want", [
+    (4, "field order 4 not supported"),
+    (8, "bad prime 2"),
+    (9, "bad prime 3"),
+    (10, "10 is not a prime power"),
+    (27, "bad prime 3"),
+    (121, (11, 2)),
+    (125, (5, 3)),
+    (343, (7, 3)),
+])
+def test_field_of_order_factors_q(q, want):
+    if isinstance(want, str):
+        with pytest.raises(FieldError, match=want):
+            field_of_order(q)
+    else:
+        field = field_of_order(q)
+        assert (field.char, field.degree, field.order) == (*want, q)
 
 
 def test_field_of_order_is_built_once_per_order(monkeypatch):
@@ -53,21 +77,17 @@ def test_field_of_order_is_built_once_per_order(monkeypatch):
 
 def _full_tables(field):
     q = field.order
-    elems = [field.from_encoding(e) for e in range(q)]
-    mul = np.zeros((q, q), dtype=np.int64)
-    add = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = (a * b).encoding
-            add[i, j] = (a + b).encoding
-    # the shared list tables the counters use must agree with element arithmetic
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    # the shared list tables the counters use must agree with the field's
+    # arithmetic on single encodings, and chi with Euler's criterion
     shared = field_tables(field)
     assert shared.mul == mul.tolist()
     assert shared.add == add.tolist()
-    assert shared.neg == [(-a).encoding for a in elems]
-    assert shared.inv == [0] + [a.inverse().encoding for a in elems[1:]]
-    assert shared.chi == [quadratic_character(a) for a in elems]
-    return elems, mul, add
+    assert shared.neg == [field.neg(a) for a in range(q)]
+    assert shared.inv == [0] + [_inverse(field, a) for a in range(1, q)]
+    assert shared.chi == [_chi(field, a) for a in range(q)]
+    return mul, add
 
 
 # GF(121) and GF(125) search a generator in an extension and add on two and
@@ -75,16 +95,14 @@ def _full_tables(field):
 @pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125])
 def test_field_axioms_exhaustive(q):
     field = field_of_order(q)
-    elems, mul, add = _full_tables(field)
+    mul, add = _full_tables(field)
 
     # commutativity
     assert np.array_equal(mul, mul.T)
     assert np.array_equal(add, add.T)
-    # identities
-    one = field.one().encoding
-    zero = field.zero().encoding
-    assert np.array_equal(mul[one], np.arange(q))
-    assert np.array_equal(add[zero], np.arange(q))
+    # identities: 1 and 0 encode as themselves
+    assert np.array_equal(mul[1], np.arange(q))
+    assert np.array_equal(add[0], np.arange(q))
     # associativity, all q^3 triples through the exact tables
     assert np.array_equal(mul[mul][:, :, :], mul[:, mul])
     assert np.array_equal(add[add][:, :, :], add[:, add])
@@ -93,10 +111,10 @@ def test_field_axioms_exhaustive(q):
     rhs = add[mul[:, :, None], mul[:, None, :]]
     assert np.array_equal(lhs, rhs)
     # additive and multiplicative inverses
-    for a in elems:
-        assert (a + (-a)).is_zero
-        if not a.is_zero:
-            assert a * a.inverse() == field.one()
+    for a in range(q):
+        assert field.add(a, field.neg(a)) == 0
+        if a:
+            assert field.mul(a, _inverse(field, a)) == 1
 
 
 def test_table_entries_share_int_objects():
@@ -115,45 +133,25 @@ def test_table_entries_share_int_objects():
 
 
 def test_prime_field_smoke():
-    F7 = PrimeField(7)
-    assert F7.element(3) * F7.element(5) == F7.element(1)
-    assert F7.element(15) == F7.element(1)
-    a = F7.element(4)
-    assert a / a == F7.one()
+    F7 = FiniteField(7)
+    assert F7.add(3, 5) == 1
+    assert F7.add(3, F7.neg(5)) == 5
+    assert F7.mul(3, 5) == 1
+    assert F7.mul(3, _inverse(F7, 5)) == 2  # 3 / 5 = 3 * 3
+    assert F7.pow(3, 2) == 2
+    assert F7.mul(4, _inverse(F7, 4)) == 1
 
 
 def test_extension_field_alpha_square():
     # GF(49) = GF(7)[a]/(a^2+1): -1 is a nonsquare mod 7, checked by exhaustion
-    assert all(x * x != 6 for x in PrimeField(7).elements())
+    F7 = FiniteField(7)
+    assert all(F7.mul(x, x) != 6 for x in range(7))
     f49 = field_of_order(49)
     assert f49.modulus == (1, 0, 1)
-    alpha = f49.element((0, 1))
-    assert alpha * alpha == f49.element(6)
-
-
-def test_operators_and_errors():
-    F7 = PrimeField(7)
-    a, b = F7.element(3), F7.element(5)
-    assert a + b == F7.element(1)
-    assert a - b == F7.element(5)
-    assert a * b == F7.element(1)
-    assert a / b == F7.element(2)  # 3 * 5^-1 = 3 * 3 = 2
-    assert a ** 2 == F7.element(2)
-    with pytest.raises(FieldError):
-        a / F7.zero()
-    with pytest.raises(FieldError):
-        F7.zero().inverse()
-    with pytest.raises(FieldError):
-        a + PrimeField(11).element(1)
-    with pytest.raises(FieldError):
-        a * 2
-
-
-def test_mixed_extension_fields_rejected():
-    f1 = ExtField(5, 2)
-    f2 = ExtField(5, 2, modulus=(3, 0, 1))  # x^2 + 3, also irreducible mod 5
-    with pytest.raises(FieldError):
-        f1.element((1, 1)) + f2.element((1, 1))
+    alpha = 7  # the encoding of the coefficients (0, 1)
+    assert f49.mul(alpha, alpha) == 6
+    # a second modulus gives a second field on the same encodings
+    assert FiniteField(5, 2, modulus=(3, 0, 1)) != field_of_order(25)
 
 
 def test_find_irreducible():
@@ -184,11 +182,11 @@ def test_root_test_keeps_the_first_irreducible(p, k):
 
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
-        ExtField(5, 2, modulus=(4, 0, 1))  # x^2 + 4 = (x-1)(x+1) mod 5
+        FiniteField(5, 2, modulus=(4, 0, 1))  # x^2 + 4 = (x-1)(x+1) mod 5
     # (x^2 + 2)(x^2 + 3) = x^4 + 1 mod 5: no root, and x^625 = x holds, so
     # only the unit test on x^25 - x can reject it
     with pytest.raises(FieldError):
-        ExtField(5, 4, modulus=(1, 0, 0, 0, 1))
+        FiniteField(5, 4, modulus=(1, 0, 0, 0, 1))
 
 
 def _mobius(n):
@@ -216,53 +214,44 @@ def test_irreducible_count_is_gauss_formula(p, k):
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 25, 49])
 def test_quadratic_character_multiplicative(q):
     field = field_of_order(q)
-    elems = list(field.elements())
-    chi = {e.encoding: quadratic_character(e) for e in elems}
-    squares = {(e * e).encoding for e in elems if not e.is_zero}
-    for e in elems:
-        assert chi[e.encoding] == (0 if e.is_zero else (1 if e.encoding in squares else -1))
-    for a in elems:
-        if a.is_zero:
-            continue
-        for b in elems:
-            if b.is_zero:
-                continue
-            assert chi[(a * b).encoding] == chi[a.encoding] * chi[b.encoding]
+    chi = field_tables(field).chi
+    squares = {field.mul(e, e) for e in range(1, q)}
+    for e in range(q):
+        assert chi[e] == (0 if not e else (1 if e in squares else -1))
+    for a in range(1, q):
+        for b in range(1, q):
+            assert chi[field.mul(a, b)] == chi[a] * chi[b]
 
 
 def test_quadratic_character_values_mod_7():
-    F7 = PrimeField(7)
-    assert quadratic_character(F7.element(0)) == 0
-    assert quadratic_character(F7.element(2)) == 1   # 3^2 = 2 mod 7
-    assert quadratic_character(F7.element(3)) == -1
+    chi = field_tables(FiniteField(7)).chi
+    assert chi[0] == 0
+    assert chi[2] == 1   # 3^2 = 2 mod 7
+    assert chi[3] == -1
 
 
-def _brute_root_count(a, b, c):
-    field = a.field
+def _brute_root_count(field, a, b, c):
     count = 0
-    for pt in projective_points(field, 1):
-        u, v = pt
-        if (a * u * u + b * u * v + c * v * v).is_zero:
-            count += 1
+    for u, v in enumerate_projective(field.order, 1):
+        terms = (field.mul(a, field.mul(u, u)), field.mul(b, field.mul(u, v)),
+                 field.mul(c, field.mul(v, v)))
+        count += field.add(field.add(*terms[:2]), terms[2]) == 0
     return count
 
 
 @pytest.mark.parametrize("q", GOOD_PRIMES)
 def test_quadratic_root_count_exhaustive(q):
     field = field_of_order(q)
-    elems = list(field.elements())
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                assert quadratic_root_count(a, b, c) == _brute_root_count(a, b, c)
+    tables = field_tables(field)
+    for a, b, c in product(range(q), repeat=3):
+        assert quadratic_root_count(a, b, c, tables) == _brute_root_count(field, a, b, c)
 
 
 def test_quadratic_root_count_examples():
-    F7 = PrimeField(7)
-    e = F7.element
-    assert quadratic_root_count(e(1), e(0), e(-1)) == 2
-    assert quadratic_root_count(e(0), e(0), e(0)) == 8
-    assert quadratic_root_count(e(1), e(0), e(1)) == 0
+    tables = field_tables(FiniteField(7))
+    assert quadratic_root_count(1, 0, 6, tables) == 2  # U^2 - V^2
+    assert quadratic_root_count(0, 0, 0, tables) == 8
+    assert quadratic_root_count(1, 0, 1, tables) == 0
 
 
 def test_projective_enumeration_cardinality_and_uniqueness():
@@ -282,7 +271,8 @@ def test_projective_points_field_elements():
     field = field_of_order(49)
     pts = list(projective_points(field, 1))
     assert len(pts) == 50
-    assert all(x.field == field for pt in pts for x in pt)
+    assert pts == list(enumerate_projective(49, 1))
+    assert all(0 <= e < 49 for pt in pts for e in pt)
 
 
 def test_is_prime():

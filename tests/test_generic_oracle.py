@@ -3,7 +3,8 @@
 The reference below walks the product of projective spaces one point at a
 time and evaluates every equation with ``FiniteField.add`` and
 ``FiniteField.mul`` (memoised), so it shares neither the table set nor the
-numpy kernel with ``count_points_generic`` and ``points_on_variety``.
+numpy kernel with ``count_points_generic``, ``points_on_variety`` and
+``smoothness_scan``.
 """
 
 import random
@@ -13,8 +14,10 @@ from itertools import product
 import pytest
 
 from cfz import counting
-from cfz.counting import CHUNK_CELLS, VarietySpec, count_points_generic, points_on_variety
+from cfz.counting import (CHUNK_CELLS, VarietySpec, count_points_generic, points_on_variety,
+                          smoothness_scan)
 from cfz.fields import enumerate_projective, field_of_order
+from cfz.polynomials import MultiHomPoly
 
 
 def _monomials(n, d):
@@ -57,8 +60,8 @@ def _value(terms, powers, add, mul):
 
 
 def _reference_points(spec, q):
-    """The rational points over GF(q) as encoding tuples, one block per
-    tuple, in the order of the product enumeration."""
+    """The rational points over GF(q), each one flat tuple of the
+    encodings of all blocks, in the order of the product enumeration."""
     field = field_of_order(q)
     add, mul = lru_cache(maxsize=None)(field.add), lru_cache(maxsize=None)(field.mul)
     equations = [[(exps, c % field.char) for exps, c in mh.poly.sorted_terms()]
@@ -73,7 +76,7 @@ def _reference_points(spec, q):
                 row.append(mul(row[-1], x))
             powers.append(row)
         if all(_value(terms, powers, add, mul) == 0 for terms in equations):
-            found.append(point)
+            found.append(sum(point, ()))
     return found
 
 
@@ -103,9 +106,7 @@ def test_generic_oracle_matches_point_by_point(monkeypatch, name, q, cells):
     spec, want = _case(name, q)
     monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
     assert count_points_generic(spec, q).count == len(want)
-    got = [tuple(tuple(x.encoding for x in block) for block in pt)
-           for pt in points_on_variety(spec, q)]
-    assert got == want
+    assert points_on_variety(spec, q) == want
 
 
 def test_derived_tables_fit_in_mul(monkeypatch):
@@ -124,3 +125,19 @@ def test_derived_tables_fit_in_mul(monkeypatch):
     [(g, spread_mul, fold)] = seen
     assert g < 56  # the sum folds between groups
     assert spread_mul.size <= q * q and fold.size <= q * q
+
+
+NODAL = VarietySpec.from_dict({"name": "nodal", "ambient": [2], "vars": [["x", "y", "z"]],
+                               "polys": ["y^2*z-x^3-x^2*z"]})
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+def test_points_and_singular_points_match_point_by_point(q):
+    # a point of the cubic is singular iff every partial derivative vanishes
+    # there (Euler's relation, p != 3), so the reference selects the
+    # singular points as the zeros of the cubic and its three partials
+    (mh,) = NODAL.polys
+    partials = [MultiHomPoly(NODAL.blocks, mh.poly.derivative(i)) for i in range(3)]
+    singular = VarietySpec("nodal-singular", NODAL.blocks, [mh] + partials)
+    assert points_on_variety(NODAL, q) == _reference_points(NODAL, q)
+    assert smoothness_scan(NODAL, q) == _reference_points(singular, q) == [(0, 0, 1)]

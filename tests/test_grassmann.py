@@ -4,10 +4,16 @@ import pytest
 
 from cfz.grassmann import (LemmaReport, PlueckerVector, SearchBudgetError,
                            _classify_families, canonical_coords,
-                           decomposable_by_search, echelon_subspaces,
-                           evaluate_relation, gaussian_binomial,
+                           echelon_subspaces, evaluate_relation, gaussian_binomial,
                            grassmannian_points, is_decomposable,
                            max_linear_subspace_dim, pluecker_relations)
+
+
+def decomposable_by_search(v):
+    """Oracle for ``is_decomposable``: membership of [v] in the enumerated
+    Pluecker image of every subspace (finite p)."""
+    assert v.p is not None and not v.is_zero
+    return canonical_coords(v.coords, v.p) in grassmannian_points(v.k, v.n, v.p)
 
 
 def test_relation_counts():
@@ -48,6 +54,7 @@ def test_frame_wedge():
 def test_search_oracle_rejects_sum_of_skew_lines():
     v = PlueckerVector(1, 3, {(0, 1): 1, (2, 3): 1}, p=5)
     assert not decomposable_by_search(v)
+    assert not is_decomposable(v)
 
 
 def test_echelon_subspace_counts():

@@ -15,10 +15,12 @@ def test_gram_matrix_shape():
 
 
 def test_discriminant_invariant_under_basis_shift():
+    # T -> T + m*h^2: h2T gains 3m and TT gains 2m*h2T + 3m^2
     for g in (GramMatrix2(4, 10), GramMatrix2(0, 2), GramMatrix2(-5, 7)):
         d = discriminant(g)
         for m in range(-5, 6):
-            assert discriminant(g.shift_basis(m)) == d
+            shifted = GramMatrix2(g.h2T + 3 * m, g.TT + 2 * m * g.h2T + 3 * m * m)
+            assert discriminant(shifted) == d
 
 
 def test_special_admissible():

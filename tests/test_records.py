@@ -84,10 +84,8 @@ def test_defaults_methods_and_properties():
     # no shared default: every caller passes its own embedding choices
     with pytest.raises(TypeError):
         IdentificationResult(None, "no_match", (7,))
-    assert CountRecord.from_json(RECORDS["CountRecord"]().to_json()) == RECORDS["CountRecord"]()
     g = GramMatrix2(4, 10)
     assert g.h2h2 == 3 and g.rows() == ((3, 4), (4, 10))
-    assert g.shift_basis(1) == GramMatrix2(7, 21)
     assert LocalFactor(7, 2, (1, 13, 49)).degree == 2
     assert NewformDescriptor(2).coefficient(7) == twisted_ap(7, 2)
 
@@ -101,3 +99,20 @@ def test_validation_runs_on_keyword_construction():
         LocalFactor(p=7, weight=2, coeffs=())
     with pytest.raises(ValueError, match="H: piece dimensions sum to 1, not 3"):
         CohomologyDecomposition(group="H", betti=3, pieces=(("a", 1, "x"),))
+
+
+@pytest.mark.parametrize("name, fields, error", [
+    ("CornacchiaSolution", {"L": 2}, "not a solution"),
+    ("NewformDescriptor", {"twist_index": 3}, "twist_index must be 0, 1 or 2"),
+    ("LocalFactor", {"coeffs": (2,)}, "constant term 1"),
+    ("CohomologyDecomposition", {"betti": 4}, "piece dimensions sum to 3, not 4"),
+])
+def test_validation_runs_on_make_and_replace(name, fields, error):
+    # namedtuple's own _make, which _replace calls, skips __new__
+    rec = RECORDS[name]()
+    values = [fields.get(f, v) for f, v in zip(rec._fields, rec)]
+    with pytest.raises(ValueError, match=error):
+        rec._replace(**fields)
+    with pytest.raises(ValueError, match=error):
+        type(rec)._make(values)
+    assert rec._replace() == rec and type(rec)._make(tuple(rec)) == rec

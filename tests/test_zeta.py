@@ -3,14 +3,15 @@ import random
 import pytest
 
 from cfz.cmforms import ap_base
-from cfz.counting import builtin_variety, count_pairsum_convolution, count_S_fibered
-from cfz.fields import is_prime
+from cfz.counting import (builtin_variety, count_pairsum_convolution, count_points_generic,
+                          count_S_fibered)
+from cfz.fields import field_of_order, is_prime
 from cfz.zeta import (CohomologyDecomposition, LocalFactor,
                       algebraic_trace_split, assemble_fourfold_factors,
                       fourfold_count_from_surface, fourfold_h4_decomposition,
                       hilbert_square_count, hilbert_square_h2_decomposition,
-                      local_factor_cm, reconstruct_count, residue_zero_check,
-                      trace_from_count)
+                      local_factor_cm, power_sums, reconstruct_count,
+                      residue_zero_check, trace_from_count)
 
 TABLE = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
 RESIDUES = {7: 1, 13: 12, 19: 11, 31: 16, 37: 10}
@@ -75,10 +76,11 @@ def test_hilbert_square_orbit_oracle(s_over_49_count, s_over_49_points):
     n2 = s_over_49_count
     index = {pt: i for i, pt in enumerate(s_over_49_points)}
     assert len(index) == n2
+    field = field_of_order(49)
     fixed = 0
     two_orbits = set()
     for i, pt in enumerate(s_over_49_points):
-        image = tuple(tuple(x ** 7 for x in blk) for blk in pt)
+        image = tuple(field.pow(e, 7) for e in pt)
         j = index[image]
         if i == j:
             fixed += 1
@@ -120,7 +122,10 @@ def test_algebraic_trace_split():
 def test_local_factor_cm():
     assert local_factor_cm(-13, 7, 0).coeffs == (1, 13, 49)
     assert local_factor_cm(-13, 7, 1).coeffs == (1, 91, 2401)
-    assert local_factor_cm(0, 5, 0).coeffs == (1, 0, 25)
+    # the form has nebentypus chi_{-3}: at the inert prime 5 the factor is
+    # 1 - p^2 T^2, and 1 - p^4 T^2 after the Tate shift
+    assert local_factor_cm(0, 5, 0).coeffs == (1, 0, -25)
+    assert local_factor_cm(0, 5, 1).coeffs == (1, 0, -625)
     with pytest.raises(ValueError):
         local_factor_cm(15, 7, 0)
     with pytest.raises(ValueError):
@@ -128,15 +133,18 @@ def test_local_factor_cm():
 
 
 def test_local_factor_cm_root_size_via_coefficients():
-    # inverse roots have absolute value p^(1+shift): the T^2 coefficient is
-    # its square and the discriminant is nonpositive
-    for p in (5, 7, 13, 19, 31, 37):
+    # inverse roots have absolute value p^(1+shift): at split primes the T^2
+    # coefficient is its square and the discriminant is nonpositive (complex
+    # conjugate roots); at inert primes the roots are +-p^(1+shift)
+    for p in (5, 7, 11, 13, 19, 31, 37):
         a = ap_base(p)
         for shift in (0, 1):
             f = local_factor_cm(a, p, shift)
-            assert f.coeffs[2] == p ** (2 + 2 * shift)
-            disc = f.coeffs[1] ** 2 - 4 * f.coeffs[2]
-            assert disc <= 0
+            if p % 3 == 1:
+                assert f.coeffs[2] == p ** (2 + 2 * shift)
+                assert f.coeffs[1] ** 2 - 4 * f.coeffs[2] <= 0
+            else:
+                assert f.coeffs == (1, 0, -p ** (2 + 2 * shift))
 
 
 def test_local_factor_constant_term_guard():
@@ -203,6 +211,46 @@ def test_h4_decomposition_dimensions():
     assert trace == (177 - 1 - 49) + 7
     with pytest.raises(ValueError):
         CohomologyDecomposition("H4(X)", 23, (("a", 1, ""), ("b", 2, "")))
+
+
+def test_decomposition_labels_follow_the_cm_factor():
+    for p, a, ns in ((7, -13, 20), (5, 0, 8)):
+        sign = "+" if p % 3 == 1 else "-"
+        h4 = fourfold_h4_decomposition(p, a, ns).pieces[-1]
+        h2 = hilbert_square_h2_decomposition(p, a, ns).pieces[-1]
+        assert h4[2] == f"roots of 1 - {p * a} T {sign} {p ** 4} T^2"
+        assert h2[2] == f"roots of 1 - {a} T {sign} {p * p} T^2"
+        assert local_factor_cm(a, p, 1).coeffs[2] == int(sign + "1") * p ** 4
+
+
+def test_power_sums_by_newton_identities():
+    # (1 - 2T)(1 - 3T)(1 - 5T): s_j = 2^j + 3^j + 5^j past the degree too
+    coeffs = (1, -10, 31, -30)
+    assert power_sums(coeffs, 5) == [2 ** j + 3 ** j + 5 ** j for j in range(1, 6)]
+    assert power_sums((1,), 3) == [0, 0, 0]
+    fs = [LocalFactor(7, 0, (1, -1)), LocalFactor(7, 1, (1, -5, 6)),
+          LocalFactor(7, 2, (1, -7))]
+    assert reconstruct_count(fs, 2) == 1 - (2 ** 2 + 3 ** 2) + 49
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_fourfold_factors_reproduce_counts_over_gf_p2(p):
+    # ns_fixed = t_alg / p from the count over GF(p); the factor list must
+    # then also give #X(GF(p^2)) = 1 + q^2 + q^4 + q #S(GF(q)), q = p^2,
+    # which checks the T^2 coefficients, where chi_{-3}(p) enters
+    n1 = count_S_fibered(p, 1).count
+    a = ap_base(p)
+    ns = algebraic_trace_split(trace_from_count(n1, p).t2, a, p) // p
+    factors = assemble_fourfold_factors(p, a, ns)
+    q = p * p
+    assert reconstruct_count(factors) == fourfold_count_from_surface(n1, p)
+    assert reconstruct_count(factors, 2) == 1 + q ** 2 + q ** 4 + q * count_S_fibered(p, 2).count
+
+
+def test_fourfold_factors_match_the_generic_count_over_gf_25():
+    factors = assemble_fourfold_factors(5, 0, 8)
+    assert reconstruct_count(factors, 2) == count_points_generic(builtin_variety("X"), 25).count
+    assert reconstruct_count(factors, 2) == 420651
 
 
 def test_reconstruct_count_alternates_on_odd_weights():
