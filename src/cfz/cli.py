@@ -68,6 +68,10 @@ def _emit_json(obj):
 
 
 def cmd_count(args):
+    if args.ext < 1:
+        raise UsageError(f"--ext must be at least 1, got {args.ext}")
+    if args.method == "convolution" and args.ext != 1:
+        raise UsageError("the convolution counter only covers prime fields (--ext 1)")
     spec = _load_variety(args.variety)
     cache = None if args.no_cache else CountCache(args.cache)
     rows = []
@@ -422,8 +426,8 @@ def build_parser():
     sp = sub.add_parser("count", help="count points of a variety")
     sp.add_argument("--variety", required=True, help="builtin:NAME or a JSON file path")
     sp.add_argument("--primes", required=True, help="comma list and/or a..b ranges")
-    sp.add_argument("--ext", type=int, default=1, choices=(1, 2),
-                    help="extension degree k (count over GF(p^k))")
+    sp.add_argument("--ext", type=int, default=1,
+                    help="extension degree k >= 1 (count over GF(p^k))")
     sp.add_argument("--method", default="auto",
                     choices=("auto",) + COUNT_METHODS)
     sp.add_argument("--budget", type=int, default=None,

@@ -10,22 +10,21 @@ cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and tests every defining
-  polynomial for zero, gathering table entries through numpy.  A term is
-  one row-then-column gather from ``spread_mul``, which holds each
-  product in spread form (its base-p digits in base-B slots wide enough
-  for a sum of g terms), so the terms add as plain int64 sums and one
-  ``fold`` lookup per g terms maps the slot sums back to the encoding of
-  the field sum; ``fold[acc] == 0`` is the zero test.  The first equation
-  is tested on the whole grid, each later one only at the cells where the
-  earlier ones vanish, about 1/q of them.  The oracle streams over block
-  0: each slice of block 0's points, times all points of the later
-  blocks, spans about CHUNK_CELLS = 2^17 grid cells, and block 0 itself
-  is enumerated slice by slice.  Memory is therefore bounded by a few
-  chunk-sized int64 grids plus arrays the size of the later blocks (their
-  points, and each term's monomial values on them): ~3 MiB for the
-  builtin surface over GF(49), whatever the evaluation budget allows.
-  ``points_on_variety`` and ``smoothness_scan`` collect their points
-  through the same slices, in the order of the full enumeration.
+  polynomial for zero through numpy.  A GF(p^k) value is its k base-p
+  digits and multiplication is GF(p)-bilinear, so on a slice of block 0
+  times the product of the later blocks, digit l of an equation of T
+  terms is a float matmul (L_l @ R.T) mod p: L_l holds digit l of each
+  term's coefficient and block-0 monomial times each basis element p^j,
+  read from the mul table, and R the digits of each term's monomial on
+  the later blocks.  The sums are exact in float32 while
+  T*k*(p - 1)^2 < 2^23, else in float64 (refused past 2^52).  The first
+  equation is tested on the whole grid, each later one only where the
+  earlier ones vanish, about 1/q of the cells.  A slice spans about
+  CHUNK_CELLS = 2^17 grid cells, so memory is bounded by a few chunk-sized
+  grids plus the later blocks' points and T*k digits per point of their
+  product: ~2.2 MiB for the builtin surface over GF(49), whatever the
+  budget allows.  ``points_on_variety`` and ``smoothness_scan`` collect
+  their points through the same slices, in the order of the enumeration.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
   for each point [x:y:z] of the first P^2 the second equation cuts a line
@@ -69,8 +68,8 @@ from .polynomials import parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
-# cells of the product grid the generic oracle evaluates at once; each
-# int64 grid of this size is 1 MiB
+# cells of the product grid the generic oracle evaluates at once; a float32
+# grid of this size is 512 KiB for each of the k digits
 CHUNK_CELLS = 1 << 17
 COUNT_METHODS = ("generic", "fibered", "convolution")
 
@@ -224,131 +223,121 @@ def _monomial_values(exps, coords, mul):
     return np.ones(len(coords), dtype=np.int64) if mono is None else mono
 
 
-def _equation_terms(spec, rest, p, mul):
-    """Each nonzero equation as its list of terms (coefficient, block-0
-    exponents, encodings of the term's monomial on each later block's
-    points rest[0], rest[1], ...)."""
+def _equation_terms(spec, rest, p, k, mul):
+    """Each nonzero equation as (coefficients, block-0 exponents, digits):
+    digits is n1 x T*k, the k base-p digits of each of its T terms'
+    monomials at each point of the product of the later blocks."""
+    import numpy as np
+
     equations = []
     for mh in spec.polys:
         if mh.poly.is_zero:
             continue
         (lo0, hi0), *slices = mh.block_slices()
-        equations.append([
-            (coeff % p, exps[lo0:hi0],
-             [_monomial_values(exps[lo:hi], pts, mul) for (lo, hi), pts in zip(slices, rest)])
-            for exps, coeff in mh.poly.sorted_terms()])
+        terms = mh.poly.sorted_terms()
+        later = []
+        for exps, _ in terms:
+            values = np.ones(1, dtype=np.int64)
+            for (lo, hi), pts in zip(slices, rest):
+                values = mul[values[:, None], _monomial_values(exps[lo:hi], pts, mul)].ravel()
+            later.append(values)
+        digits = np.stack(later, axis=1)[:, :, None] // p ** np.arange(k) % p
+        equations.append(([c % p for _, c in terms], [e[lo0:hi0] for e, _ in terms],
+                          digits.reshape(len(later[0]), -1)))
     return equations
 
 
-def _spread_tables(field, mul, nterms):
-    """The derived tables of the zero test: (g, spread_mul, fold).
-
-    A sum of products is kept in spread form: an encoding sum d_i p^i is
-    written sum d_i B^i, its base-p digits in base-B slots with
-    B = g(p - 1) + 1, so up to g spread values add slot by slot without a
-    carry.  spread_mul holds the spread form of every product, and fold
-    maps a slot sum back to the encoding of the field sum, each slot
-    reduced mod p.  g is the most terms of an equation, capped at p + 1 so
-    that fold, with B^k entries, is no larger than mul."""
-    p, k = field.char, field.degree
-    g = min(nterms, p + 1)
-    base = g * (p - 1) + 1
-    spread = _rebase(field.order, p, base, k, p)
-    return g, spread[mul], _rebase(base ** k, base, p, k, p)
-
-
-def _rebase(n, src, dst, k, p):
-    """Entry s < n: the k base-src digits of s, each mod p, as base-dst digits."""
+def _exact_dtype(p, width):
+    """A float type in which a sum of width digit products, each at most
+    (p - 1)^2, is an exact integer: float32 below 2^23, so that
+    p * rint(x * (1/p)) is exact too, else float64 below 2^52."""
     import numpy as np
 
-    s = np.arange(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(k):
-        out += s % src % p * dst ** i
-        s //= src
-    return out
+    top = width * (p - 1) ** 2
+    if top >= 1 << 52:
+        raise CountBudgetError(f"{width} digit products up to {(p - 1) ** 2} exceed float64")
+    return np.float32 if top < 1 << 23 else np.float64
 
 
-def _times(table, value, col, cells):
-    """table[value, col]: on the grid, the rows of value then their columns
-    col, one contiguous gather per row; at cells, one entry per cell."""
+def _left_factors(equation, head, mul, times):
+    """The left factors of one equation on the slice head, k x n0 x T*k:
+    entry [l, a, t*k + j] is digit l of u_t(a) * p^j, u_t(a) the
+    coefficient of term t times its monomial on block 0 at a."""
     import numpy as np
 
-    if cells is None:
-        return np.take(table[value], col, axis=-1)
-    return table[value, col]
+    coeffs, exps0, _ = equation
+    u = np.stack([mul[c, _monomial_values(e, head, mul)] for c, e in zip(coeffs, exps0)],
+                 axis=1)
+    return np.stack([t[u].reshape(len(head), -1) for t in times])
 
 
-def _term_on(term, head, cells, mul, spread_mul):
-    """Spread form of one term (coefficient, block-0 exponents, monomial
-    values on each later block) on the grid of head times the later blocks
-    when cells is None, else at cells, one index array per block: every
-    factor but the last multiplies through mul, the last through
-    spread_mul."""
-    coeff, exps0, monos = term
-    if cells is None:
-        cols = [_monomial_values(exps0, head, mul)] + monos
-    else:
-        cols = [_monomial_values(exps0, head[cells[0]], mul)] + [
-            m[i] for m, i in zip(monos, cells[1:])]
-    value = coeff
-    for col in cols[:-1]:
-        value = _times(mul, value, col, cells)
-    return _times(spread_mul, value, cols[-1], cells)
-
-
-def _equation_zero(terms, head, cells, mul, spread):
-    """Where one equation vanishes, on the grid or at cells as in
-    ``_term_on``: its terms add as int64 slot sums, folded every g terms."""
+def _multiple_of(g, p, scratch, out):
+    """out = (g == 0 mod p) for a float array g of exact integers, in place."""
     import numpy as np
 
-    g, spread_mul, fold = spread
-    acc, held = _term_on(terms[0], head, cells, mul, spread_mul), 1
-    for term in terms[1:]:
-        if held == g:  # row 1 of spread_mul spreads an encoding
-            acc, held = spread_mul[1][np.take(fold, acc)], 1
-        acc += _term_on(term, head, cells, mul, spread_mul)
-        held += 1
-    return np.take(fold, acc) == 0
+    np.multiply(g, 1 / p, out=scratch)
+    np.rint(scratch, out=scratch)
+    scratch *= p
+    return np.equal(g, scratch, out=out)
 
 
 def _zero_masks(spec, field, mul):
-    """The zero set of the equations, through the mul table as an array,
-    one slice of block 0 at a time.
+    """The zero set of the equations, one slice of block 0 at a time.
 
     Yields (blocks, mask): the point arrays of the slice of block 0 and of
     every later block, and the boolean grid over their product where every
-    equation vanishes.  The first equation is evaluated on the whole grid,
-    each later one only at the cells where all before it vanish.  A slice
-    spans about CHUNK_CELLS grid cells, and block 0 is enumerated slice by
-    slice, so memory is bounded by the chunk and the later blocks' point
-    arrays, whatever the budget allows."""
+    equation vanishes.  Digit l of the first equation on the slice is the
+    matmul of its left factors L_l with its digits R, reduced mod p; each
+    later equation is tested only at the cells where all before it vanish.
+    A slice spans about CHUNK_CELLS grid cells, so memory is bounded by the
+    chunk, the later blocks' point arrays and the digit arrays R, whatever
+    the budget allows."""
     import numpy as np
 
-    q = field.order
+    q, p, k = field.order, field.char, field.degree
     rest = _block_point_arrays(q, spec.ambient[1:])
-    equations = _equation_terms(spec, rest, field.char, mul)
-    spread = _spread_tables(field, mul, max(map(len, equations), default=1))
-    # a later block's gather briefly holds q cells per cell of the grid
-    # before it, which only a P^0 block (one point, fewer than q) makes larger
-    per_point = math.prod(max(len(a), q) for a in rest)
-    step = max(1, CHUNK_CELLS // per_point)
+    n1 = math.prod(len(a) for a in rest)
+    equations = _equation_terms(spec, rest, p, k, mul)
+    width = max((digits.shape[1] for *_, digits in equations), default=1)
+    dtype = _exact_dtype(p, width)
+    basis = mul[:, p ** np.arange(k)]
+    times = [(basis // p ** l % p).astype(dtype) for l in range(k)]
+    right = [digits.astype(dtype) for *_, digits in equations]
+    if right:  # the first equation's R.T, contiguous for the matmul
+        right[0] = np.ascontiguousarray(right[0].T)
+    step = max(1, CHUNK_CELLS // max(n1, width))
+    grid, scratch, digit_zero = (np.empty(step * n1, dtype=t) for t in (dtype, dtype, bool))
     points0 = enumerate_projective(q, spec.ambient[0])
     while True:
         head = np.array(list(islice(points0, step)), dtype=np.int64)
-        if not len(head):
+        n0 = len(head)
+        if not n0:
             return
+        shape = [n0] + [len(a) for a in rest]
         if not equations:
-            mask = np.ones([len(head)] + [len(a) for a in rest], dtype=bool)
-        else:
-            mask = _equation_zero(equations[0], head, None, mul, spread)
-            survivors = np.flatnonzero(mask)
-            for terms in equations[1:]:
-                cells = np.unravel_index(survivors, mask.shape)
-                zero = _equation_zero(terms, head, cells, mul, spread)
-                mask.flat[survivors[~zero]] = False
-                survivors = survivors[zero]
-        yield [head] + rest, mask
+            yield [head] + rest, np.ones(shape, dtype=bool)
+            continue
+        g, s, z = (b[:n0 * n1].reshape(n0, n1) for b in (grid, scratch, digit_zero))
+        mask = np.empty((n0, n1), dtype=bool)
+        for l, left in enumerate(_left_factors(equations[0], head, mul, times)):
+            np.matmul(left, right[0], out=g)
+            if l:
+                mask &= _multiple_of(g, p, s, z)
+            else:
+                _multiple_of(g, p, s, mask)
+        survivors = np.flatnonzero(mask)
+        for equation, digits in zip(equations[1:], right[1:]):
+            left = _left_factors(equation, head, mul, times)
+            chunk = max(1, CHUNK_CELLS // (k * digits.shape[1]))
+            zero = np.empty(len(survivors), dtype=bool)
+            for i in range(0, len(survivors), chunk):  # digit l: rows of L_l dot rows of R
+                ia, ib = np.divmod(survivors[i:i + chunk], n1)
+                value = np.einsum("liw,iw->li", left.take(ia, 1), digits.take(ib, 0))
+                zero[i:i + chunk] = _multiple_of(value, p, np.empty_like(value),
+                                                 np.empty(value.shape, bool)).all(0)
+            mask.flat[survivors[~zero]] = False
+            survivors = survivors[zero]
+        yield [head] + rest, mask.reshape(shape)
 
 
 def _ambient_points(spec, q) -> int:

@@ -170,7 +170,7 @@ def fourfold_h4_decomposition(p: int, a_p: int, ns_fixed: int) -> CohomologyDeco
             ("NS(S)(1) fixed", m_plus, f"eigenvalue {p * p}"),
             ("NS(S)(1) flipped", m_minus, f"eigenvalue {-p * p}"),
             ("Delta(1)", 1, f"eigenvalue {p * p}"),
-            ("T(S)(1)", 2, f"roots of 1 - {p * a_p} T {_sign(p)} {p ** 4} T^2"),
+            ("T(S)(1)", 2, _roots_label(local_factor_cm(a_p, p, 1))),
         ))
 
 
@@ -184,13 +184,18 @@ def hilbert_square_h2_decomposition(p: int, a_p: int, ns_fixed: int) -> Cohomolo
             ("NS(S) fixed", m_plus, f"eigenvalue {p}"),
             ("NS(S) flipped", m_minus, f"eigenvalue {-p}"),
             ("Delta", 1, f"eigenvalue {p}"),
-            ("T(S)", 2, f"roots of 1 - {a_p} T {_sign(p)} {p * p} T^2"),
+            ("T(S)", 2, _roots_label(local_factor_cm(a_p, p, 0))),
         ))
 
 
-def _sign(p: int) -> str:
-    """The sign of the T^2 coefficient of the CM factor at p."""
-    return "+" if _chi_minus3(p) > 0 else "-"
+def _roots_label(factor: LocalFactor) -> str:
+    """'roots of 1 + 13 T + 49 T^2': each coefficient with its own sign,
+    zero terms left out."""
+    text = "roots of 1"
+    for i, c in enumerate(factor.coeffs[1:], 1):
+        if c:
+            text += f" {'-' if c < 0 else '+'} {abs(c)} T" + (f"^{i}" if i > 1 else "")
+    return text
 
 
 def _ns_split(ns_fixed: int):

@@ -24,6 +24,20 @@ def test_count_builtin_surface(tmp_path):
     assert json.loads(r.stdout) == {"p": 7, "k": 1, "count": 177}
 
 
+def test_count_surface_over_gf_125():
+    r = run_cli("count", "--variety", "builtin:S", "--ext", "3", "--primes", "5", "--no-cache")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"p": 5, "k": 3, "count": 16626}
+
+
+@pytest.mark.parametrize("args", [["--ext", "0"], ["--ext", "-1"],
+                                  ["--ext", "2", "--method", "convolution"]])
+def test_count_rejects_bad_extension(args):
+    r = run_cli("count", "--variety", "builtin:X", "--primes", "7", "--no-cache", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+
+
 def test_count_fermat():
     r = run_cli("count", "--variety", "builtin:fermat", "--primes", "7", "--no-cache")
     assert r.returncode == 0

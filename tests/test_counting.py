@@ -39,6 +39,12 @@ def test_surface_extension_fibered_matches_generic(s_over_49_count):
     assert s_over_49_count == 3453  # golden, frozen from the generic oracle
 
 
+def test_surface_cubic_extension_fibered_matches_generic():
+    # 248M cells of S over GF(125) times 6 terms exceed the default budget
+    n = count_S_fibered(5, 3).count
+    assert n == count_points_generic(S, 125, budget=2 * 10 ** 9).count == 16626
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_fourfold_convolution_matches_generic(p):
     assert count_pairsum_convolution(X, p).count == count_points_generic(X, p).count

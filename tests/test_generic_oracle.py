@@ -11,6 +11,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cfz import counting
@@ -80,8 +81,8 @@ def _reference_points(spec, q):
     return found
 
 
-# name: (dims, equations); a fold group holds at most p + 1 terms, so 12
-# and 14 terms fold at p = 5 and 7
+# name: (dims, equations); the fold-groups cases give equations of 12 and
+# 14 terms, wider left factors than the others
 CASES = {
     "three-blocks": ([1, 0, 1], [((1, 1, 1), 3), ((2, 0, 1), 4)]),
     "p0-block": ([1, 1, 0], [((1, 2, 1), 3), ((2, 1, 2), 5)]),
@@ -109,22 +110,34 @@ def test_generic_oracle_matches_point_by_point(monkeypatch, name, q, cells):
     assert points_on_variety(spec, q) == want
 
 
-def test_derived_tables_fit_in_mul(monkeypatch):
+def test_many_terms_over_gf_125_in_float32():
     # 56 terms, as many as a general cubic in P^5 has, on P^1 x P^1, which
-    # is small enough to check point by point
+    # is small enough to check point by point: 56 * 3 digit products of at
+    # most 4^2 each stay far below float32's 2^23
     q = 125
     spec = _random_spec(56, [1, 1], [((7, 6), 56)])
-    seen, real = [], counting._spread_tables
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(counting, "_spread_tables", spy)
+    assert counting._exact_dtype(5, 56 * 3) is np.float32
     assert count_points_generic(spec, q).count == len(_reference_points(spec, q))
-    [(g, spread_mul, fold)] = seen
-    assert g < 56  # the sum folds between groups
-    assert spread_mul.size <= q * q and fold.size <= q * q
+
+
+def test_large_prime_in_float64():
+    # z * (a - 2b)(a - 3b)...(a - 21b) on P^0 x P^1 at p = 1999: 21 terms
+    # whose coefficients meet monomial values up to 1998 on the second
+    # block, so a dot product reaches past 2^24, where float32 would round
+    # it, and T * (p - 1)^2 >= 2^23 selects float64
+    p, roots = 1999, range(2, 22)
+    coeffs = [1]
+    for r in roots:
+        coeffs = [(x - r * y) % p for x, y in zip(coeffs + [0], [0] + coeffs)]
+    poly = "+".join(f"{c}*z*a^{20 - i}*b^{i}" for i, c in enumerate(coeffs))
+    spec = VarietySpec.from_dict({"name": "binary-form", "ambient": [0, 1],
+                                  "vars": [["z"], ["a", "b"]], "polys": [poly]})
+    assert len(spec.polys[0].poly.terms) == 21
+    assert counting._exact_dtype(p, 21) is np.float64
+    want = _reference_points(spec, p)
+    assert sorted(want) == sorted((1, 1, pow(r, -1, p)) for r in roots)
+    assert count_points_generic(spec, p).count == len(roots)
+    assert points_on_variety(spec, p) == want
 
 
 NODAL = VarietySpec.from_dict({"name": "nodal", "ambient": [2], "vars": [["x", "y", "z"]],

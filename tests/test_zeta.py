@@ -214,13 +214,14 @@ def test_h4_decomposition_dimensions():
 
 
 def test_decomposition_labels_follow_the_cm_factor():
-    for p, a, ns in ((7, -13, 20), (5, 0, 8)):
-        sign = "+" if p % 3 == 1 else "-"
-        h4 = fourfold_h4_decomposition(p, a, ns).pieces[-1]
-        h2 = hilbert_square_h2_decomposition(p, a, ns).pieces[-1]
-        assert h4[2] == f"roots of 1 - {p * a} T {sign} {p ** 4} T^2"
-        assert h2[2] == f"roots of 1 - {a} T {sign} {p * p} T^2"
-        assert local_factor_cm(a, p, 1).coeffs[2] == int(sign + "1") * p ** 4
+    # a_p < 0, a_p = 0 at an inert prime, and a_p > 0
+    for p, a, ns, h2, h4 in ((7, -13, 20, "1 + 13 T + 49 T^2", "1 + 91 T + 2401 T^2"),
+                             (5, 0, 8, "1 - 25 T^2", "1 - 625 T^2"),
+                             (19, 11, 20, "1 - 11 T + 361 T^2", "1 - 209 T + 130321 T^2")):
+        assert hilbert_square_h2_decomposition(p, a, ns).pieces[-1][2] == "roots of " + h2
+        assert fourfold_h4_decomposition(p, a, ns).pieces[-1][2] == "roots of " + h4
+        sign = 1 if p % 3 == 1 else -1
+        assert local_factor_cm(a, p, 1).coeffs == (1, -p * a, sign * p ** 4)
 
 
 def test_power_sums_by_newton_identities():
