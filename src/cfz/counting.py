@@ -57,7 +57,7 @@ import json
 import math
 import operator
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -127,23 +127,43 @@ class VarietySpec:
 
     @classmethod
     def from_dict(cls, d) -> "VarietySpec":
-        blocks = [tuple(b) for b in d["vars"]]
-        if "ambient" in d and [len(b) - 1 for b in blocks] != list(d["ambient"]):
+        """A spec from its JSON form; ValueError if the form is malformed."""
+        if not isinstance(d, dict):
+            raise ValueError(f"variety spec must be a JSON object, got {type(d).__name__}")
+        name, blocks, texts = d.get("name"), d.get("vars"), d.get("polys")
+        if not isinstance(name, str):
+            raise ValueError("variety spec: 'name' must be a string")
+        if not (isinstance(blocks, list) and blocks and all(
+                isinstance(b, list) and b and all(isinstance(v, str) for v in b)
+                for b in blocks)):
+            raise ValueError(
+                "variety spec: 'vars' must be a nonempty list of nonempty lists of variable names")
+        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+            raise ValueError("variety spec: 'polys' must be a list of polynomial strings")
+        blocks = [tuple(b) for b in blocks]
+        if "ambient" in d and d["ambient"] != [len(b) - 1 for b in blocks]:
             raise ValueError("ambient dimensions do not match variable blocks")
-        polys = [parse_poly(t, blocks) for t in d["polys"]]
-        return cls(d["name"], blocks, polys)
+        return cls(name, blocks, [parse_poly(t, blocks) for t in texts])
 
     @classmethod
     def from_file(cls, path) -> "VarietySpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
+    @cached_property
+    def canonical(self) -> str:
+        """The canonical JSON of the spec: what identifies it, and what its sha hashes."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def sha(self) -> str:
-        """Content hash of the canonical spec, used as the cache key."""
+        """Content hash of the canonical spec, used as the cache key; a
+        constant for the builtins, so only a custom variety loads hashlib."""
+        name = _builtin_name(self)
+        if name is not None:
+            return _BUILTIN_SHA[name]
         import hashlib
 
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return hashlib.sha256(self.canonical.encode()).hexdigest()
 
     def __repr__(self):
         return f"VarietySpec({self.name!r})"
@@ -177,6 +197,15 @@ _BUILTIN_SOURCES = {
 _BUILTIN_COHOMOLOGY = {"S": (2, K3_B2), "X": (4, FOURFOLD_B4), "fermat": (4, FOURFOLD_B4)}
 
 
+# sha-256 of each builtin's canonical JSON, the cache key it has always had
+# (tests/test_counting.py recomputes them)
+_BUILTIN_SHA = {
+    "S": "9aef72f7b3c07f7c289d6c34fcc9ab0bb4be0293549a4852afd40cff478c5773",
+    "X": "0c2e3c35006fb131af1f85827501546e82a4405a2bc5c91fcbfee570e74896e9",
+    "fermat": "a344e99830598f2eedca01f9a80191b5acd7b7c986e1d95c2062b278312af448",
+}
+
+
 def builtin_variety(name: str) -> VarietySpec:
     if name not in _BUILTIN_SOURCES:
         raise KeyError(f"unknown builtin variety {name!r}; have {sorted(_BUILTIN_SOURCES)}")
@@ -184,23 +213,30 @@ def builtin_variety(name: str) -> VarietySpec:
 
 
 @lru_cache(maxsize=None)
-def _builtin_sha(name: str) -> str:
-    """Content hash of a builtin, computed once on first use."""
-    return builtin_variety(name).sha()
+def _builtin_names() -> dict:
+    """Canonical JSON -> builtin name, built once on first use."""
+    return {VarietySpec.from_dict(src).canonical: name
+            for name, src in _BUILTIN_SOURCES.items()}
 
 
-def _fits_weil_bound(sha: str, count: int, q: int) -> bool:
-    """Whether a count over GF(q) is possible for the variety with this sha.
+def _builtin_name(spec: VarietySpec):
+    """The name of the builtin whose canonical form spec has, else None;
+    a variety file holding a builtin's exact spec is that builtin."""
+    return _builtin_names().get(spec.canonical)
+
+
+def _fits_weil_bound(name, count: int, q: int) -> bool:
+    """Whether a count over GF(q) is possible for the builtin of this name.
 
     A builtin of dimension d = 2m has one cohomology class in each even
     degree 2i != 2m, on which Frobenius acts by q^i, and middle Betti number
     b, so |N - sum_{i != m} q^i| <= b q^m.  Any count passes for a custom
-    variety, whose cohomology is unknown."""
-    for name, (d, b) in _BUILTIN_COHOMOLOGY.items():
-        if sha == _builtin_sha(name):
-            m = d // 2
-            return abs(count - sum(q ** i for i in range(d + 1) if i != m)) <= b * q ** m
-    return True
+    variety (name None), whose cohomology is unknown."""
+    if name not in _BUILTIN_COHOMOLOGY:
+        return True
+    d, b = _BUILTIN_COHOMOLOGY[name]
+    m = d // 2
+    return abs(count - sum(q ** i for i in range(d + 1) if i != m)) <= b * q ** m
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +451,7 @@ def _s_fiber_count(xyz, tables) -> int:
     return quadratic_root_count(form(b1, b1), mul[2][form(b1, b2)], form(b2, b2), tables)
 
 
-def count_S_fibered(p: int, k: int = 1) -> CountRecord:
+def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
     """Count S(GF(p^k)) fiberwise over the first P^2.
 
     Up to a nonzero square, the discriminant of the fiber above [x:y:z] is
@@ -423,8 +459,14 @@ def count_S_fibered(p: int, k: int = 1) -> CountRecord:
     nonzero has 1 + chi(-1) chi(c) points.  Since chi is multiplicative,
     the chart x = 1 sums chi(y) chi(z) chi(1 + y^3 + z^3) row by row.  The
     O(q) base points with c = 0, on xyz = 0 or on the Fermat cubic curve,
-    are counted exactly by ``_s_fiber_count``."""
+    are counted exactly by ``_s_fiber_count``.  The q^2 + q + 1 base
+    points are charged against the enumeration budget before the q x q
+    field tables are built."""
     q = p ** k
+    base = projective_cardinality(q, 2)
+    limit = enumeration_budget(budget)
+    if base > limit:
+        raise CountBudgetError(f"S over GF({q}): {base} base points exceed budget {limit}")
     tables = field_tables(field_of_order(q))
     mul, add, neg, _, chi = tables
     cube = [mul[mul[z][z]][z] for z in range(q)]
@@ -594,15 +636,16 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     no record for its key: the first record of a key is the one every
     lookup reads, so a second could never be served.
     """
-    sha = spec.sha()
+    builtin = _builtin_name(spec)
     hit = None
     if cache is not None:
+        sha = spec.sha()
         hit = cache.get(sha, p, k)
         if (hit is not None and method in ("auto", hit.method)
                 and hit.count <= _ambient_points(spec, p ** k)
-                and _fits_weil_bound(sha, hit.count, p ** k)):
+                and _fits_weil_bound(builtin, hit.count, p ** k)):
             return hit
-    is_s = sha == _builtin_sha("S")
+    is_s = builtin == "S"
     if method == "auto":
         if is_s:
             method = "fibered"
@@ -617,7 +660,7 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     if method == "fibered":
         if not is_s:
             raise ValueError("fibered counter is specific to the builtin surface S")
-        rec = count_S_fibered(p, k)
+        rec = count_S_fibered(p, k, budget)
     elif method == "convolution":
         if k != 1:
             raise ValueError("convolution counter only covers prime fields")

@@ -76,6 +76,36 @@ def test_count_budget_exceeded(tmp_path):
     assert "exceed" in r.stderr
 
 
+def test_count_fibered_budget_exceeded():
+    # 11^2 + 11 + 1 = 133 base points; refused before the field tables exist
+    r = run_cli("count", "--variety", "builtin:S", "--primes", "11", "--budget", "100",
+                "--no-cache")
+    assert r.returncode == 2
+    assert "133 base points exceed budget 100" in r.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "T", "polys": ["x"]},
+    [{"name": "T", "vars": [["x", "y"]], "polys": ["x"]}],
+    {"name": 5, "vars": [["x", "y"]], "polys": ["x"]},
+    {"name": "T", "vars": [["x", "y"]], "polys": "xy"},
+    {"name": "T", "vars": ["xy"], "polys": ["x"]},
+    {"name": "T", "vars": [["x", 1]], "polys": ["x"]},
+    {"name": "T", "vars": [], "polys": []},
+    {"name": "T", "vars": [["x", "y"], []], "polys": []},
+    {"name": "T", "vars": [["x", "y"]], "polys": ["x", 2]},
+    {"name": "T", "ambient": 1, "vars": [["x", "y"]], "polys": ["x"]},
+], ids=["no-vars", "top-level-list", "name-not-string", "polys-string", "block-string",
+        "variable-not-string", "no-blocks", "empty-block", "poly-not-string",
+        "ambient-not-list"])
+def test_malformed_variety_file_exits_2(tmp_path, spec):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli("count", "--variety", str(path), "--primes", "5", "--no-cache")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
 def test_trace_table_golden():
     r = run_cli("trace-table", "--primes", "7,13,19,31,37", "--format", "tsv",
                 "--no-cache")
@@ -396,7 +426,7 @@ def test_numpy_loads_only_for_numpy_kernels(tmp_path):
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import cfz, cfz.cli
-LAZY = ("dataclasses", "inspect", "fractions", "hashlib")
+LAZY = ("dataclasses", "inspect", "fractions", "hashlib", "_hashlib")
 seen = [["import", 0, [m for m in LAZY if m in sys.modules]]]
 for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -407,20 +437,39 @@ print(json.dumps(seen))
 
 
 def test_start_up_imports_no_dataclasses_fractions_or_hashlib(tmp_path):
-    # records are named tuples; hashlib loads with the first variety sha and
-    # fractions with the first LinearMapP5
+    # records are named tuples; a builtin's cache key is a constant, so hashlib
+    # (and OpenSSL's _hashlib) loads only when a custom variety meets the cache,
+    # and fractions with the first LinearMapP5
     from cfz.counting import builtin_variety
     cache = tmp_path / "c.jsonl"
     cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
                                  "k": 1, "count": 177, "method": "fibered"}) + "\n")
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({"name": "conic", "vars": [["x", "y", "z"]],
+                                 "polys": ["x^2+y^2-z^2"]}))
     lines = ["lattice --d 14", "count --variety builtin:S --primes 7",
-             "verify --suite forms --primes 7", "verify --suite automorphisms"]
+             "verify --suite forms --primes 7", "verify --suite automorphisms",
+             f"count --variety {conic} --primes 5 --no-cache",
+             f"count --variety {conic} --primes 5"]
     r = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *lines], capture_output=True,
                        text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [
-        ["import", 0, []], [lines[0], 0, []], [lines[1], 0, ["hashlib"]],
-        [lines[2], 0, ["hashlib"]], [lines[3], 0, ["fractions", "hashlib"]]]
+        ["import", 0, []], [lines[0], 0, []], [lines[1], 0, []], [lines[2], 0, []],
+        [lines[3], 0, ["fractions"]], [lines[4], 0, ["fractions"]],
+        [lines[5], 0, ["fractions", "hashlib", "_hashlib"]]]
+
+
+def test_builtin_commands_never_load_hashlib(tmp_path):
+    # each command runs twice: the first fills the cache, the second hits it
+    lines = ["trace-table --primes 5..13", "identify --primes 7..40", "zeta --prime 7",
+             "count --variety builtin:S --primes 7", "count --variety builtin:X --primes 7"]
+    r = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *lines, *lines],
+                       capture_output=True, text=True,
+                       env={**BASE_ENV, "CFZ_CACHE": str(tmp_path / "c.jsonl")})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [["import", 0, []]] + [[line, 0, []] for line in lines * 2]
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 11  # S at 5..37, X at 7
 
 
 @pytest.mark.parametrize("bad", [

@@ -255,11 +255,54 @@ def test_reference_counts_pass_the_cache_weil_bound():
     with open(path, encoding="utf-8") as fh:
         reference = json.load(fh)
     for name in ("S", "X", "fermat"):
-        sha = builtin_variety(name).sha()
         for k, counts in reference[name].items():
             for p, n in counts.items():
-                assert counting._fits_weil_bound(sha, n, int(p) ** int(k)), (name, k, p, n)
+                assert counting._fits_weil_bound(name, n, int(p) ** int(k)), (name, k, p, n)
     assert sorted(reference["S"]) == ["1", "2"]
+    # the bound does refuse: S has |N - 1 - 49| <= 154 over GF(7)
+    assert not counting._fits_weil_bound("S", 1 + 49 + 155, 7)
+    assert counting._fits_weil_bound(None, 1 + 49 + 155, 7)
+
+
+def test_builtin_sha_constants_hash_the_canonical_json():
+    import hashlib
+    assert sorted(counting._BUILTIN_SHA) == sorted(counting._BUILTIN_SOURCES)
+    for name, sha in counting._BUILTIN_SHA.items():
+        canon = json.dumps(builtin_variety(name).to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+        assert sha == hashlib.sha256(canon.encode()).hexdigest(), name
+        assert builtin_variety(name).sha() == sha
+
+
+def test_variety_file_with_a_builtin_spec_is_that_builtin(tmp_path):
+    # the builtin's exact spec, read from a file with other polynomial text:
+    # same cache key, same counter under auto, same Weil-bound check
+    src = {**counting._BUILTIN_SOURCES["S"], "polys": ["z*w^2+y*v^2+x*u^2",
+                                                       "x^2*u+z^2*w+y^2*v"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(src))
+    spec = VarietySpec.from_file(path)
+    assert spec.sha() == counting._BUILTIN_SHA["S"] == S.sha()
+    assert count_variety(spec, 7).method == "fibered"
+    cache = CountCache(str(tmp_path / "c.jsonl"))
+    cache.put(S.sha(), counting.CountRecord("S", 7, 1, 400, "fibered"))
+    assert count_variety(spec, 7, cache=cache).count == 177
+    # another name is another variety: hashed, and counted by the generic oracle
+    other = VarietySpec.from_dict({**src, "name": "T"})
+    assert counting._builtin_name(other) is None
+    assert other.sha() not in counting._BUILTIN_SHA.values()
+    assert count_variety(other, 7).method == "generic"
+
+
+def test_fibered_counter_is_charged_its_base_points(monkeypatch):
+    # q^2 + q + 1 = 133 base points over GF(11), refused before any table
+    assert count_S_fibered(11, 1, budget=133) == count_S_fibered(11)
+    monkeypatch.setattr(counting, "field_tables", lambda field: pytest.fail("table built"))
+    with pytest.raises(CountBudgetError, match="133 base points exceed budget 132"):
+        count_S_fibered(11, 1, budget=132)
+    monkeypatch.setenv("CFZ_BUDGET", "100")
+    with pytest.raises(CountBudgetError):
+        count_variety(S, 11)
 
 
 def test_budget_refusal_names_size():
