@@ -199,6 +199,8 @@ def cmd_lattice(args):
     if args.h2t is not None or args.tt is not None:
         if args.h2t is None or args.tt is None:
             raise UsageError("--h2t and --tt must be given together")
+        if args.d is not None:
+            raise UsageError("give either --h2t/--tt or --d, not both")
         g = lattice.GramMatrix2(args.h2t, args.tt)
         d = lattice.discriminant(g)
         out.update({"h2h2": g.h2h2, "h2t": g.h2T, "tt": g.TT, "discriminant": d})
@@ -496,5 +498,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry point (``python -m cfz`` and the ``cfz`` script):
+    ``main``, then ``gc.freeze()``, so that the garbage collection the
+    interpreter runs at exit has nothing to traverse.  cfz has no
+    finalizers that collection could run, and the cache is written
+    through ``os.write`` before ``main`` returns.  ``main`` itself does not
+    freeze, so a process may call it many times."""
+    import gc
+
+    rc = main()
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,21 +10,27 @@ cross-check each other:
 
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and tests every defining
-  polynomial for zero through numpy.  A GF(p^k) value is its k base-p
-  digits and multiplication is GF(p)-bilinear, so on a slice of block 0
-  times the product of the later blocks, digit l of an equation of T
-  terms is a float matmul (L_l @ R.T) mod p: L_l holds digit l of each
-  term's coefficient and block-0 monomial times each basis element p^j,
-  read from the mul table, and R the digits of each term's monomial on
-  the later blocks.  The sums are exact in float32 while
-  T*k*(p - 1)^2 < 2^23, else in float64 (refused past 2^52).  The first
-  equation is tested on the whole grid, each later one only where the
-  earlier ones vanish, about 1/q of the cells.  A slice spans about
-  CHUNK_CELLS = 2^17 grid cells, so memory is bounded by a few chunk-sized
-  grids plus the later blocks' points and T*k digits per point of their
-  product: ~2.2 MiB for the builtin surface over GF(49), whatever the
-  budget allows.  ``points_on_variety`` and ``smoothness_scan`` collect
+  polynomial for zero through numpy.  ``_projective_rows`` builds the
+  points of each block by rank, as arrays in the order of
+  ``fields.enumerate_projective``, with no Python loop per point.  A
+  GF(p^k) value is its k base-p digits and multiplication is
+  GF(p)-bilinear, so on a slice of block 0 times the product of the
+  later blocks, digit l of an equation of T terms is a float matmul
+  (L_l @ R.T) mod p: L_l holds digit l of each term's coefficient and
+  block-0 monomial times each basis element p^j, read from the mul
+  table, and R the digits of each term's monomial on the later blocks.
+  The sums are exact in float32 while T*k*(p - 1)^2 < 2^23, else in
+  float64 (refused past 2^52).  The first equation is tested on the
+  whole grid, each later one only where the earlier ones vanish, about
+  1/q of the cells.  A slice spans about CHUNK_CELLS = 2^17 grid cells,
+  so memory is bounded by a few chunk-sized grids plus the later blocks'
+  points and T*k digits per point of their product: ~2.2 MiB for the
+  builtin surface over GF(49), whatever the budget allows.  ``points_on_variety`` and ``smoothness_scan`` collect
   their points through the same slices, in the order of the enumeration.
+  A point is singular iff every r x r minor of the full Jacobian matrix
+  of the r nonzero equations vanishes there (Euler's relation gives the
+  local Jacobian the same rank), so ``smoothness_scan`` adds those minors
+  to the equations and is one more zero set.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
   for each point [x:y:z] of the first P^2 the second equation cuts a line
@@ -41,15 +47,15 @@ cross-check each other:
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
   sum of forms in disjoint variable groups of size at most two (the
   builtin fourfolds X and the Fermat cubic): it builds one value
-  histogram per group over the affine field, convolves additively, and
+  histogram per group over the affine field, a row at a time over the
+  group's last variable from power lists, convolves additively, and
   converts the affine cone count to a projective count.
 
 All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (p - 1) and verifies exactness.
 
 numpy is imported inside the generic oracle's kernels only, which convert
-the list tables once (the mul table, or all of them through
-``FieldTables.arrays``), so a count served from the cache, by the fibered
+the mul list table once, so a count served from the cache, by the fibered
 counter or by the convolution counter never loads it.
 """
 
@@ -58,13 +64,12 @@ import math
 import operator
 import os
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .fields import (check_good_prime, enumerate_projective, field_of_order,
-                     field_tables, projective_cardinality, quadratic_root_count)
-from .linalg import rref
-from .polynomials import parse_poly
+from .fields import (check_good_prime, field_of_order, field_tables,
+                     projective_cardinality, quadratic_root_count)
+from .polynomials import MultiHomPoly, Poly, parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
@@ -242,10 +247,27 @@ def _fits_weil_bound(name, count: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # generic oracle over the full product of projective spaces
 
-def _block_point_arrays(q, dims):
+def _projective_rows(q, n, start, stop):
+    """The points of P^n with ranks in [start, stop) in the order of
+    ``fields.enumerate_projective(q, n)``, as an int64 array, one row per
+    point.  The q^(n - l) points whose leading 1 is coordinate l come
+    after those of every earlier l, and within them point i holds the
+    base-q digits of i, so coordinate c is digit n - c of i."""
     import numpy as np
 
-    return [np.array(list(enumerate_projective(q, n)), dtype=np.int64) for n in dims]
+    sizes = q ** np.arange(n, -1, -1, dtype=np.int64)  # points for each lead l
+    ends = np.cumsum(sizes)
+    rank = np.arange(start, min(stop, int(ends[-1])), dtype=np.int64)
+    lead = np.searchsorted(ends, rank, side="right")
+    index = rank - (ends - sizes)[lead]
+    # coordinates before the lead are digits of index past its last one: 0
+    rows = index[:, None] // sizes % q
+    rows[np.arange(len(rank)), lead] = 1
+    return rows
+
+
+def _block_point_arrays(q, dims):
+    return [_projective_rows(q, n, 0, projective_cardinality(q, n)) for n in dims]
 
 
 def _monomial_values(exps, coords, mul):
@@ -317,12 +339,13 @@ def _multiple_of(g, p, scratch, out):
     return np.equal(g, scratch, out=out)
 
 
-def _zero_masks(spec, field, mul):
+def _zero_cells(spec, field, mul):
     """The zero set of the equations, one slice of block 0 at a time.
 
-    Yields (blocks, mask): the point arrays of the slice of block 0 and of
-    every later block, and the boolean grid over their product where every
-    equation vanishes.  Digit l of the first equation on the slice is the
+    Yields (blocks, cells): the point arrays of the slice of block 0 and of
+    every later block, and the flat indices, ascending, of the cells of
+    the grid over their product (in C order) where every equation
+    vanishes.  Digit l of the first equation on the slice is the
     matmul of its left factors L_l with its digits R, reduced mod p; each
     later equation is tested only at the cells where all before it vanish.
     A slice spans about CHUNK_CELLS grid cells, so memory is bounded by the
@@ -343,15 +366,12 @@ def _zero_masks(spec, field, mul):
         right[0] = np.ascontiguousarray(right[0].T)
     step = max(1, CHUNK_CELLS // max(n1, width))
     grid, scratch, digit_zero = (np.empty(step * n1, dtype=t) for t in (dtype, dtype, bool))
-    points0 = enumerate_projective(q, spec.ambient[0])
-    while True:
-        head = np.array(list(islice(points0, step)), dtype=np.int64)
+    total0 = projective_cardinality(q, spec.ambient[0])
+    for start in range(0, total0, step):
+        head = _projective_rows(q, spec.ambient[0], start, start + step)
         n0 = len(head)
-        if not n0:
-            return
-        shape = [n0] + [len(a) for a in rest]
         if not equations:
-            yield [head] + rest, np.ones(shape, dtype=bool)
+            yield [head] + rest, np.arange(n0 * n1)
             continue
         g, s, z = (b[:n0 * n1].reshape(n0, n1) for b in (grid, scratch, digit_zero))
         mask = np.empty((n0, n1), dtype=bool)
@@ -371,9 +391,8 @@ def _zero_masks(spec, field, mul):
                 value = np.einsum("liw,iw->li", left.take(ia, 1), digits.take(ib, 0))
                 zero[i:i + chunk] = _multiple_of(value, p, np.empty_like(value),
                                                  np.empty(value.shape, bool)).all(0)
-            mask.flat[survivors[~zero]] = False
             survivors = survivors[zero]
-        yield [head] + rest, mask.reshape(shape)
+        yield [head] + rest, survivors
 
 
 def _ambient_points(spec, q) -> int:
@@ -400,29 +419,32 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     field = field_of_order(q)
     _check_budget(spec, q, budget)
     mul = np.array(field_tables(field).mul, dtype=np.int64)
-    count = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(spec, field, mul))
+    count = sum(len(cells) for _, cells in _zero_cells(spec, field, mul))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
-def _rational_points(spec: VarietySpec, q: int, budget):
-    """The field, its table set as arrays, and the encodings of all
-    rational points: one row per point, the coordinates of all blocks side
-    by side, in the order of the product enumeration."""
+def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
+    """The encodings of the rational points of spec where every equation
+    in extra vanishes too: one row per point, the coordinates of all
+    blocks side by side, in the order of the product enumeration.  The
+    budget is charged for spec's own equations."""
     import numpy as np
 
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    tables = field_tables(field).arrays()
+    if extra:
+        spec = VarietySpec(spec.name, spec.blocks, spec.polys + list(extra))
+    mul = np.array(field_tables(field).mul, dtype=np.int64)
     found = []
-    for blocks, mask in _zero_masks(spec, field, tables.mul):
-        idx = np.argwhere(mask)
-        found.append(np.concatenate([a[idx[:, b]] for b, a in enumerate(blocks)], axis=1))
-    return field, tables, np.concatenate(found)
+    for blocks, cells in _zero_cells(spec, field, mul):
+        idx = np.unravel_index(cells, [len(a) for a in blocks])
+        found.append(np.concatenate([a[i] for a, i in zip(blocks, idx)], axis=1))
+    return np.concatenate(found)
 
 
 def points_on_variety(spec: VarietySpec, q: int, budget=None):
     """All rational points, one flat tuple of coordinate encodings each."""
-    return list(map(tuple, _rational_points(spec, q, budget)[2].tolist()))
+    return list(map(tuple, _rational_points(spec, q, budget).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +553,33 @@ def pairsum_groups(spec: VarietySpec):
 
 
 def group_value_histogram(terms, var_idx, p: int):
-    """H[v] = number of affine assignments of the group variables with value v."""
+    """H[v] = number of affine assignments of the group variables with value v.
+
+    For each assignment of the other variables, the values over the
+    group's last variable y form one row: sum_j C_j y^j mod p, where C_j
+    gathers the terms with y^j, read from power lists built once."""
+    *outer, last = var_idx
+    powers = {}
+
+    def power_list(e):
+        if e not in powers:
+            powers[e] = [pow(x, e, p) for x in range(p)]
+        return powers[e]
+
     hist = [0] * p
-    for assign in product(range(p), repeat=len(var_idx)):
-        val = 0
+    for assign in product(range(p), repeat=len(outer)):
+        coeffs = {}
         for exps, c in terms:
-            t = c
-            for pos, i in enumerate(var_idx):
-                t *= pow(assign[pos], exps[i], p) if exps[i] else 1
-            val += t
-        hist[val % p] += 1
+            for x, i in zip(assign, outer):
+                c *= power_list(exps[i])[x]
+            coeffs[exps[last]] = coeffs.get(exps[last], 0) + c
+        row = [0] * p
+        for e, c in coeffs.items():
+            c %= p
+            if c:
+                row = [r + c * y for r, y in zip(row, power_list(e))]
+        for v in row:
+            hist[v % p] += 1
     return hist
 
 
@@ -579,45 +618,49 @@ def count_fermat_cubic(p: int) -> CountRecord:
 # ---------------------------------------------------------------------------
 # partial smoothness evidence
 
+def _cofactor_det(rows, nvars):
+    """Determinant of a square matrix of Polys in nvars variables, by
+    cofactor expansion along the first row; 1 for the empty matrix."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else Poly.constant(nvars, 1)
+    total = Poly.zero(nvars)
+    for j, a in enumerate(rows[0]):
+        if not a.is_zero:
+            term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], nvars)
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def _jacobian_minors(spec: VarietySpec):
+    """The r x r minors of the Jacobian matrix of spec's r nonzero
+    equations that are not identically zero, each multihomogeneous."""
+    polys = [mh.poly for mh in spec.polys if not mh.poly.is_zero]
+    nvars = sum(len(b) for b in spec.blocks)
+    partials = [[f.derivative(c) for c in range(nvars)] for f in polys]
+    minors = (_cofactor_det([[row[c] for c in cols] for row in partials], nvars)
+              for cols in combinations(range(nvars), len(polys)))
+    return [MultiHomPoly(spec.blocks, m) for m in minors if not m.is_zero]
+
+
 def smoothness_scan(spec: VarietySpec, q: int, budget=None):
     """Rational points where the local Jacobian drops below full rank.
+
+    In the chart of a point, where the leading coordinate of each block is
+    1, the local Jacobian is the full one without those columns.  On the
+    variety, Euler's relation makes each dropped column a combination of
+    the other columns of its block, so both have the same rank, and a
+    point is singular iff every r x r minor of the full Jacobian vanishes
+    there, r the number of nonzero equations.  The scan returns the common
+    zeros of the equations and those minors, through the generic oracle's
+    slices; the budget is charged for the equations alone.  With r = 0 the
+    one minor is 1, and no point is singular.
 
     Only points over GF(q) itself are examined, so an empty result is
     partial evidence of smoothness, not a proof (singularities may live
     in higher-degree extensions).
     """
-    field, tables, coords = _rational_points(spec, q, budget)
-    polys = [mh.poly for mh in spec.polys if not mh.poly.is_zero]
-    # partials[r][c][n]: d(poly r)/d(variable c) at point n
-    partials = [[_values_on_points(f.derivative(c), coords, field.char, tables).tolist()
-                 for c in range(coords.shape[1])] for f in polys]
-    lists = field_tables(field)
-    slices = []
-    start = 0
-    for b in spec.blocks:
-        slices.append((start, start + len(b)))
-        start += len(b)
-    bad = []
-    for n, row in enumerate(coords.tolist()):
-        # local chart: drop the leading (=1) coordinate of each block
-        local_cols = []
-        for lo, hi in slices:
-            lead = next(i for i in range(lo, hi) if row[i])
-            local_cols.extend(i for i in range(lo, hi) if i != lead)
-        jac = [[partials[r][c][n] for c in local_cols] for r in range(len(polys))]
-        if len(rref(jac, lists)[1]) < len(polys):
-            bad.append(tuple(row))
-    return bad
-
-
-def _values_on_points(poly, coords, p, tables):
-    """Encodings of poly at each row of coords."""
-    import numpy as np
-
-    acc = np.zeros(len(coords), dtype=np.int64)
-    for exps, c in poly.terms.items():
-        acc = tables.add[acc, tables.mul[c % p, _monomial_values(exps, coords, tables.mul)]]
-    return acc
+    return list(map(tuple, _rational_points(spec, q, budget,
+                                            _jacobian_minors(spec)).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -258,12 +258,6 @@ class FieldTables(NamedTuple):
     inv: list
     chi: list
 
-    def arrays(self) -> "FieldTables":
-        """The same tables as numpy int64 arrays, for the vectorised kernels."""
-        import numpy as np
-
-        return FieldTables(*(np.array(t, dtype=np.int64) for t in self))
-
 
 def _generator(field):
     """The least encoding that generates the multiplicative group: g is a
@@ -346,6 +340,8 @@ def enumerate_projective(q: int, n: int):
     coordinates run over all q encodings.  Each point appears exactly once
     and the total is (q^{n+1} - 1)/(q - 1).  Purely combinatorial, so any
     q >= 2 is accepted; field semantics require q to be a prime power.
+    ``counting._projective_rows`` builds the same points by rank, as
+    numpy rows.
     """
     if q < 2 or n < 0:
         raise ValueError(f"need q >= 2 and n >= 0, got q={q}, n={n}")

@@ -6,16 +6,23 @@ Everything here works in the coordinate order (x, u, y, v, z, w) so the
 pairing of the two planes' variables is contiguous.  All arithmetic is
 exact integer arithmetic: the polynomials have integer coefficients, and
 ``LinearMapP5`` stores integer matrices, whose products, determinants
-(``linalg.det``, Bareiss elimination) and substitutions into the cubic
-never form a Fraction.  ``normalized()`` scales a matrix to its primitive
-integer representative (entries with gcd 1) whose first nonzero entry is
-positive; for the generators below, whose entries lie in {-1, 0, 1}, that
-is the matrix scaled to a leading 1.
+(``linalg.det``) and substitutions into the cubic never form a Fraction.
+``normalized()`` scales a matrix to its primitive integer representative
+(entries with gcd 1) whose first nonzero entry is positive; for the
+generators below, whose entries lie in {-1, 0, 1}, that is the matrix
+scaled to a leading 1.
+
+The generators are sparse, and both checks use only nonzero entries:
+``automorphism_subgroup`` multiplies by a generator column by column, so
+a generator column with one entry copies one column of the left factor,
+and ``preserves_cubic`` expands each term of the cubic over the nonzero
+entries of the rows its variables map to.
 """
 
 import math
 import operator
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from .linalg import det
@@ -100,25 +107,13 @@ class LinearMapP5:
         return g
 
     def normalized(self) -> "LinearMapP5":
-        flat = [e for r in self.rows for e in r]
-        scale = math.gcd(*flat)
-        if next(e for e in flat if e) < 0:
-            scale = -scale
-        if scale == 1:
-            return self
-        return self._of_int_rows(tuple(tuple(e // scale for e in r) for r in self.rows))
+        rows = _primitive(self.rows)
+        return self if rows is self.rows else self._of_int_rows(rows)
 
     def __matmul__(self, other: "LinearMapP5") -> "LinearMapP5":
         cols = tuple(zip(*other.rows))
         return self._of_int_rows(tuple(
             tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.rows))
-
-    def act_on_poly(self, poly: Poly) -> Poly:
-        """(poly o self): substitute each variable by its image linear form."""
-        forms = [Poly(6, {tuple(1 if t == j else 0 for t in range(6)): self.rows[i][j]
-                          for j in range(6) if self.rows[i][j]})
-                 for i in range(6)]
-        return poly.substitute(forms)
 
     def __eq__(self, other):
         return isinstance(other, LinearMapP5) and other.rows == self.rows
@@ -159,17 +154,30 @@ class FormNotPreservedError(ValueError):
     pass
 
 
+# each term of the cubic as its coefficient and the ascending triple of the
+# variables of its three factors, a key that names the monomial
+_CUBIC_TRIPLES = {tuple(i for i, e in enumerate(exps) for _ in range(e)): c
+                  for exps, c in CUBIC.terms.items()}
+
+
 def preserves_cubic(g: LinearMapP5) -> bool:
     """Whether the fourfold equation composed with g is a scalar multiple
-    of itself."""
-    composed = g.act_on_poly(CUBIC)
-    if composed.is_zero:
-        return False
-    probe = next(iter(CUBIC.terms))
-    lam = composed.terms.get(probe)
+    of itself.  Each cubic term is expanded over the nonzero entries of
+    the rows of g that its three variables map to."""
+    forms = [[(j, e) for j, e in enumerate(r) if e] for r in g.rows]
+    composed = {}
+    for (a, b, c), coef in _CUBIC_TRIPLES.items():
+        for ja, ea in forms[a]:
+            for jb, eb in forms[b]:
+                partial = coef * ea * eb
+                for jc, ec in forms[c]:
+                    key = tuple(sorted((ja, jb, jc)))
+                    composed[key] = composed.get(key, 0) + partial * ec
+    lam = composed.get(next(iter(_CUBIC_TRIPLES)))
     if not lam:
         return False
-    return composed == CUBIC * lam
+    return ({m: c for m, c in composed.items() if c}
+            == {m: lam * c for m, c in _CUBIC_TRIPLES.items()})
 
 
 class GroupReport(NamedTuple):
@@ -177,27 +185,65 @@ class GroupReport(NamedTuple):
     elements: tuple
 
 
+def _primitive(rows):
+    """The rows of an invertible matrix scaled to gcd 1 with a positive
+    first nonzero entry, which lies in the first row."""
+    scale = math.gcd(*chain.from_iterable(rows))
+    if next(filter(None, rows[0])) < 0:
+        scale = -scale
+    if scale == 1:
+        return rows
+    return tuple(tuple(e // scale for e in r) for r in rows)
+
+
+def _right_multiplier(g: LinearMapP5):
+    """The map m -> (m @ g) on matrices held as their columns, scaled to
+    primitive form: column j of m @ g is the sum of g[t][j] times column t
+    of m over the nonzero entries of g's column j, found once; a column of
+    g with a single entry makes a scaled copy of one column of m."""
+    plan = [tuple(zip(*((t, r[j]) for t, r in enumerate(g.rows) if r[j])))
+            for j in range(6)]
+
+    def times(cols):
+        out = []
+        for ts, scales in plan:
+            if len(ts) == 1:
+                t, e = ts[0], scales[0]
+                out.append(cols[t] if e == 1 else tuple(x * e for x in cols[t]))
+            else:
+                out.append(tuple(sum(map(operator.mul, entries, scales))
+                                 for entries in zip(*map(cols.__getitem__, ts))))
+        return _primitive(tuple(out))
+    return times
+
+
 def automorphism_subgroup(generators) -> GroupReport:
     """Closure of the generators under composition modulo scalars, with the
-    check that every element preserves the fourfold equation up to scalar."""
-    gens = []
+    check that every element preserves the fourfold equation up to scalar.
+    Each product is formed from the generator's nonzero entries only."""
+    steps = []
     for i, g in enumerate(generators):
         if not preserves_cubic(g):
             raise FormNotPreservedError(
                 f"generator {i} does not preserve the cubic form")
-        gens.append(g.normalized())
-    elements = {identity_map().normalized()}
-    frontier = list(elements)
+        steps.append(_right_multiplier(g))
+    # the closure runs on column tuples, made primitive in column-major
+    # order: as canonical a representative as the row-major normalized()
+    one = identity_map().rows
+    elements = {one}
+    frontier = [one]
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens:
-                h = (e @ g).normalized()
+            for times in steps:
+                h = times(e)
                 if h not in elements:
                     elements.add(h)
                     nxt.append(h)
         frontier = nxt
-    for h in elements:
+    group = [LinearMapP5._of_int_rows(rows)
+             for rows in sorted(_primitive(tuple(zip(*cols))) for cols in elements)]
+    for h in group:
         if not preserves_cubic(h):
             raise FormNotPreservedError("closure produced a non-preserving element")
-    return GroupReport(len(elements), tuple(sorted(elements, key=lambda e: e.rows)))
+    return GroupReport(len(group), tuple(group))

@@ -3,12 +3,14 @@
 ``det``, ``rref`` and ``nullspace`` are the package's one exact linear
 algebra.  ``det`` is Bareiss fraction-free elimination, in which every
 division is exact, so the entries stay integers and no Fraction is ever
-formed; the Pluecker coordinates of ``grassmann`` and the invertibility
-check of ``fourfold.LinearMapP5`` both use it.  ``rref`` and
-``nullspace`` work on field encodings through list tables (mul, add,
-neg, inv, as ``fields.field_tables`` builds them), so one
-elimination serves the Jacobian ranks of ``counting.smoothness_scan``
-and the subspace dimensions of ``grassmann`` over GF(2) and GF(3).
+formed; a 2 x 2 matrix, such as a Pluecker coordinate of a line, is
+computed directly.  The Pluecker coordinates of ``grassmann`` and the
+invertibility check of ``fourfold.LinearMapP5`` both use it.  ``rref``
+and ``nullspace`` work on field encodings through list tables (mul, add,
+neg, inv, as ``fields.field_tables`` builds them) and serve the
+subspace dimensions of ``grassmann`` over GF(2) and GF(3).  The Jacobian
+minors of ``counting.smoothness_scan`` have polynomial entries and are
+expanded by cofactors there.
 """
 
 
@@ -19,6 +21,9 @@ def det(rows) -> int:
     for r in m:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     sign, prev = 1, 1
     while n > 1:
         if not m[0][0]:

@@ -213,6 +213,38 @@ def test_lattice_command():
     assert out["admissible"] and out["k3_degree_n"] is None
 
 
+@pytest.mark.parametrize("args", [["--d", "14", "--h2t", "1", "--tt", "2"],
+                                  ["--h2t", "4", "--tt", "10", "--d", "14"],
+                                  ["--d", "14", "--h2t", "1"], []])
+def test_lattice_rejects_conflicting_or_missing_input(args):
+    r = run_cli("lattice", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
+    # run() freezes the heap so the interpreter's collection at exit has
+    # nothing to traverse; main(), which callers may run many times in one
+    # process, does not
+    import gc
+
+    from cfz import cli
+
+    assert cli.main(["lattice", "--d", "14"]) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["cfz", "lattice", "--d", "20"])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["discriminant"] == 20
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"),
+              encoding="utf-8") as fh:
+        assert 'cfz = "cfz.cli:run"' in fh.read().splitlines()
+
+
 def test_pluecker_command():
     r = run_cli("pluecker", "--k", "1", "--n", "4", "--q", "2")
     out = json.loads(r.stdout)

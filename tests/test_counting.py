@@ -218,6 +218,44 @@ def test_histogram_conservation():
         assert sum(group_value_histogram(terms, var_idx, 5)) == 5
 
 
+def _pow_loop_histogram(terms, var_idx, p):
+    """Reference: evaluate the group's form at every affine assignment with
+    one ``pow`` per variable and term."""
+    hist = [0] * p
+    for assign in product(range(p), repeat=len(var_idx)):
+        val = 0
+        for exps, c in terms:
+            t = c
+            for pos, i in enumerate(var_idx):
+                t *= pow(assign[pos], exps[i], p) if exps[i] else 1
+            val += t
+        hist[val % p] += 1
+    return hist
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+@pytest.mark.parametrize("spec", [X, FERMAT], ids=["X", "fermat"])
+def test_row_histograms_match_the_pow_loop(spec, p):
+    _, groups = pairsum_groups(spec)
+    for var_idx, terms in groups:
+        assert group_value_histogram(terms, var_idx, p) == \
+            _pow_loop_histogram(terms, var_idx, p)
+
+
+def test_row_histograms_of_mixed_groups_match_the_pow_loop():
+    # groups whose terms mix powers of both variables, constants in the
+    # last one, and coefficients that vanish mod p
+    spec = VarietySpec.from_dict(
+        {"name": "mixed", "ambient": [4], "vars": [["a", "b", "c", "d", "e"]],
+         "polys": ["3*a^3+a^2*b-7*b^3+14*a*b^2+c^2*d+5*c^3-d^3+e^3"]})
+    _, groups = pairsum_groups(spec)
+    assert sorted(len(v) for v, _ in groups) == [1, 2, 2]
+    for p in (5, 7, 13):
+        for var_idx, terms in groups:
+            assert group_value_histogram(terms, var_idx, p) == \
+                _pow_loop_histogram(terms, var_idx, p)
+
+
 def test_single_pair_histogram_total():
     spec = VarietySpec.from_dict(
         {"name": "g", "ambient": [1], "vars": [["a", "b"]], "polys": ["a*b^2-a^2*b"]})

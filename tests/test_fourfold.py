@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,59 @@ def test_group_elements_match_reference_closure(generators):
     report = automorphism_subgroup(generators)
     assert [g.rows for g in report.elements] == _closure_rows(generators)
     assert report.order == len(report.elements)
+
+
+def _preserves_by_substitution(g):
+    """Reference: substitute each variable's image linear form into the
+    cubic with ``Poly.substitute`` and compare with a multiple of it."""
+    forms = [Poly(6, {tuple(int(t == j) for t in range(6)): row[j] for j in range(6)})
+             for row in g.rows]
+    composed = CUBIC.substitute(forms)
+    lam = composed.terms.get(next(iter(CUBIC.terms)))
+    return bool(lam) and composed == CUBIC * lam
+
+
+def _random_maps(seed, count):
+    """Random invertible integer maps: group elements, some scaled or
+    with a pair of rows permuted, some with one entry perturbed, and
+    dense random matrices."""
+    rng = random.Random(seed)
+    gens = [f(i) for i in range(3) for f in (pair_swap_generator, pair_shear_generator)]
+    group = automorphism_subgroup(gens).elements
+    maps = []
+    while len(maps) < count:
+        kind = rng.randrange(4)
+        rows = [list(r) for r in rng.choice(group).rows]
+        if kind == 0:
+            c = rng.choice((-3, 2, 5))
+            rows = [[c * e for e in r] for r in rows]
+        elif kind == 1:  # swap two coordinate pairs, a symmetry of the cubic
+            a, b = rng.sample(range(3), 2)
+            rows[2 * a:2 * a + 2], rows[2 * b:2 * b + 2] = \
+                rows[2 * b:2 * b + 2], rows[2 * a:2 * a + 2]
+        elif kind == 2:
+            rows[rng.randrange(6)][rng.randrange(6)] += rng.choice((-1, 1, 2))
+        else:
+            rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+        try:
+            maps.append(LinearMapP5(rows))
+        except ValueError:  # not invertible
+            continue
+    return maps
+
+
+def test_preserves_cubic_matches_substitution():
+    maps = _random_maps(11, 300)
+    verdicts = [preserves_cubic(g) for g in maps]
+    assert verdicts == [_preserves_by_substitution(g) for g in maps]
+    assert 50 < sum(verdicts) < 250  # both outcomes are well represented
+
+
+def test_preserves_cubic_rejects_a_scaled_coordinate():
+    # x -> 2x: the term x*u^2 doubles while u*x^2 quadruples
+    g = LinearMapP5(_diag(2, 1, 1, 1, 1, 1))
+    assert not preserves_cubic(g) and not _preserves_by_substitution(g)
+    # (x, u) -> (2x, 2u) scales only the first pair's terms by 8
+    g = LinearMapP5(_diag(2, 2, 1, 1, 1, 1))
+    assert not preserves_cubic(g) and not _preserves_by_substitution(g)
+    assert preserves_cubic(LinearMapP5(_diag(*[-2] * 6)))

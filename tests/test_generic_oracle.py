@@ -4,12 +4,14 @@ The reference below walks the product of projective spaces one point at a
 time and evaluates every equation with ``FiniteField.add`` and
 ``FiniteField.mul`` (memoised), so it shares neither the table set nor the
 numpy kernel with ``count_points_generic``, ``points_on_variety`` and
-``smoothness_scan``.
+``smoothness_scan``.  The singular points are checked against a scan of
+the local Jacobian at each point, ranked by ``linalg.rref``, which shares
+nothing with the Jacobian minors ``smoothness_scan`` enumerates.
 """
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ import pytest
 from cfz import counting
 from cfz.counting import (CHUNK_CELLS, VarietySpec, count_points_generic, points_on_variety,
                           smoothness_scan)
-from cfz.fields import enumerate_projective, field_of_order
+from cfz.fields import enumerate_projective, field_of_order, field_tables
+from cfz.linalg import rref
 from cfz.polynomials import MultiHomPoly
 
 
@@ -154,3 +157,114 @@ def test_points_and_singular_points_match_point_by_point(q):
     singular = VarietySpec("nodal-singular", NODAL.blocks, [mh] + partials)
     assert points_on_variety(NODAL, q) == _reference_points(NODAL, q)
     assert smoothness_scan(NODAL, q) == _reference_points(singular, q) == [(0, 0, 1)]
+
+
+def _evaluate(poly, point, field):
+    """The encoding of poly at a point of encodings, term by term."""
+    acc = 0
+    for exps, c in poly.terms.items():
+        t = c % field.char
+        for x, e in zip(point, exps):
+            if e:
+                t = field.mul(t, field.pow(x, e))
+        acc = field.add(acc, t)
+    return acc
+
+
+def _local_chart_scan(spec, q):
+    """Reference: the rational points where the Jacobian in the point's
+    chart (the leading coordinate of each block dropped) has rank below the
+    number r of nonzero equations, one point at a time."""
+    field = field_of_order(q)
+    tables = field_tables(field)
+    polys = [mh.poly for mh in spec.polys if not mh.poly.is_zero]
+    nvars = sum(len(b) for b in spec.blocks)
+    partials = [[f.derivative(c) for c in range(nvars)] for f in polys]
+    ends = list(accumulate(len(b) for b in spec.blocks))
+    slices = list(zip([0] + ends, ends))
+    singular = []
+    for point in _reference_points(spec, q):
+        leads = {next(i for i in range(lo, hi) if point[i]) for lo, hi in slices}
+        local = [c for c in range(nvars) if c not in leads]
+        jacobian = [[_evaluate(row[c], point, field) for c in local] for row in partials]
+        if len(rref(jacobian, tables)[1]) < len(polys):
+            singular.append(point)
+    return singular
+
+
+def _spec(name, blocks, polys):
+    return VarietySpec.from_dict({"name": name, "ambient": [len(b) - 1 for b in blocks],
+                                  "vars": blocks, "polys": polys})
+
+
+# random one- and two-equation specs; specs built with singular points: a
+# line pair, a quadric cone, a cuspidal cubic, a plane curve doubled by a
+# second equation, two quadric cones sharing a vertex, and a (1,2) form on
+# P^1 x P^1 that is a square along a fiber; and two smooth ones, a conic
+# and two diagonal quadrics in P^3 whose pencil has four distinct
+# singular members at p = 5 and 7
+SMOOTHNESS_SPECS = {
+    "smooth-conic": _spec("smooth-conic", [["x", "y", "z"]], ["x^2+y^2-z^2"]),
+    "smooth-quadrics": _spec("smooth-quadrics", [["x", "y", "z", "w"]],
+                             ["x^2+y^2+z^2+w^2", "x^2+2*y^2+3*z^2+4*w^2"]),
+    "conic": _random_spec(101, [2], [((2,), 3)]),
+    "cubic": _random_spec(102, [2], [((3,), 4)]),
+    "p1xp1": _random_spec(103, [1, 1], [((2, 2), 4)]),
+    "p1xp2": _random_spec(104, [1, 2], [((1, 2), 5)]),
+    "two-quadrics": _random_spec(105, [3], [((2,), 3), ((2,), 3)]),
+    "two-forms": _random_spec(106, [1, 2], [((1, 1), 3), ((1, 2), 4)]),
+    "line-pair": _spec("line-pair", [["x", "y", "z"]], ["x^2-y^2"]),
+    "cone": _spec("cone", [["x", "y", "z", "w"]], ["x*y-z^2"]),
+    "cusp": _spec("cusp", [["x", "y", "z"]], ["y^2*z-x^3"]),
+    "curve-and-plane": _spec("curve-and-plane", [["x", "y", "z", "w"]],
+                             ["w", "y^2*z-x^3-x^2*z"]),
+    "two-cones": _spec("two-cones", [["x", "y", "z", "w"]], ["x*y-z^2", "x^2-y*z"]),
+    "fiber-square": _spec("fiber-square", [["s", "t"], ["a", "b"]], ["s*a^2-2*s*a*b+s*b^2"]),
+}
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+@pytest.mark.parametrize("name", SMOOTHNESS_SPECS)
+def test_smoothness_scan_matches_local_chart_rank(name, q):
+    spec = SMOOTHNESS_SPECS[name]
+    assert smoothness_scan(spec, q) == _local_chart_scan(spec, q)
+
+
+def test_smoothness_specs_include_singular_points():
+    singular = {name for name, spec in SMOOTHNESS_SPECS.items()
+                if smoothness_scan(spec, 7)}
+    assert {"line-pair", "cone", "cusp", "curve-and-plane", "two-cones",
+            "fiber-square"} <= singular
+    assert not {"smooth-conic", "smooth-quadrics"} & singular
+
+
+def test_smoothness_scan_charges_only_the_equations():
+    # a conic over GF(7) is 57 points times 3 terms; its three partials
+    # (nine terms with the conic) are not charged
+    spec = _spec("conic", [["x", "y", "z"]], ["x^2+y^2-z^2"])
+    assert smoothness_scan(spec, 7, budget=57 * 3) == []
+    with pytest.raises(counting.CountBudgetError):
+        smoothness_scan(spec, 7, budget=57 * 3 - 1)
+
+
+def test_smoothness_scan_without_equations_finds_nothing():
+    spec = _spec("plane", [["x", "y", "z"]], ["0"])
+    assert smoothness_scan(spec, 5) == []
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+@pytest.mark.parametrize("n", range(5))
+def test_projective_rows_follow_the_enumeration(q, n):
+    want = np.array(list(enumerate_projective(q, n)), dtype=np.int64).reshape(-1, n + 1)
+    total = len(want)
+    # the starts of each leading coordinate's run, their neighbours, and
+    # cuts that cross several runs
+    ends = list(accumulate(q ** (n - l) for l in range(n + 1)))
+    cuts = sorted({0, 1, total // 3, total // 2, total - 1, total}
+                  | {min(total, e + d) for e in ends for d in (-1, 0, 1)})
+    for start, stop in zip(cuts, cuts[1:]):
+        got = counting._projective_rows(q, n, start, stop)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[start:stop])
+    assert np.array_equal(counting._projective_rows(q, n, 0, total + 5), want)
+    assert counting._projective_rows(q, n, total, total).shape == (0, n + 1)

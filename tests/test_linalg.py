@@ -28,6 +28,48 @@ def test_det_matches_cofactor_expansion(n):
         assert d == laplace_det(m)
 
 
+def bareiss_det(m):
+    """Reference: Bareiss fraction-free elimination at every size."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def test_two_by_two_det_matches_bareiss():
+    rng = random.Random(2)
+    for _ in range(2000):
+        bound = rng.choice((1, 3, 10 ** 6, 10 ** 30))
+        m = [[rng.randint(-bound, bound) for _ in range(2)] for _ in range(2)]
+        if rng.random() < 0.2:  # singular matrices, and zero leading pivots
+            m[1] = [rng.choice((0, 3, -2)) * e for e in m[0]]
+        if rng.random() < 0.2:
+            m[0][0] = 0
+        d = det(m)
+        assert type(d) is int
+        assert d == bareiss_det(m) == laplace_det(m)
+    # tuples of tuples, as the Pluecker frames pass them
+    assert det(((3, 5), (7, 11))) == bareiss_det([[3, 5], [7, 11]]) == -2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bareiss_reference_matches_cofactor_expansion(n):
+    rng = random.Random(100 + n)
+    for _ in range(100):
+        m = [[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+        assert bareiss_det(m) == laplace_det(m) == det(m)
+
+
 def test_det_known_values_and_shape_check():
     assert det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
     assert det([[0, 1], [1, 0]]) == -1
