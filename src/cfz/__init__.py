@@ -2,10 +2,9 @@
 special cubic fourfold and its associated K3 surface."""
 
 from .cache import CountCache
-from .cmforms import (CANDIDATE_FORMS, CornacchiaSolution, CubicCharacter,
-                      EisensteinInt, NewformDescriptor, ap_base,
+from .cmforms import (CornacchiaSolution, EisensteinInt, ap_base,
                       ap_via_eisenstein, cornacchia_4p, fermat_comparison,
-                      identify_form, twisted_ap)
+                      identify_form)
 from .counting import (CountRecord, VarietySpec, builtin_variety,
                        count_fermat_cubic, count_pairsum_convolution,
                        count_points_generic, count_S_fibered, count_variety,

@@ -1,8 +1,8 @@
-"""The weight-3 CM newform of level 27, its cubic twists, and the
-identification of a form from count residues.
+"""The weight-3 CM newform of level 27 and the identification of a form
+from count residues.
 
 For a prime p = 1 mod 3 the coefficient a_p is produced by two
-independent routes that must agree:
+independent routes, which the ``forms`` verify suite compares:
 
 * ``ap_base`` solves 4p = L^2 + 27 M^2 (Cornacchia by exhaustion, the
   solution is unique up to sign) and returns (L^2 - 27 M^2) / 2;
@@ -12,8 +12,10 @@ independent routes that must agree:
 
 Inert primes (p = 2 mod 3) have a_p = 0.  The three candidate forms are
 the base form and its twists by the conductor-9 cubic character and its
-square; residues of counts mod p single out the base form because the
-coefficients of the three candidates at 7 are pairwise distinct.
+square.  ``identify_form`` compares them with the residues in GF(p): under
+an embedding omega -> z, candidate i takes the value a_p z^(e i), where
+chi_9(p) = omega^e.  The residues single out the base form because the
+values of the three candidates at 7 are pairwise distinct.
 """
 
 import math
@@ -21,11 +23,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .counting import builtin_variety, count_fermat_cubic, count_pairsum_convolution
-from .fields import check_good_prime, is_prime
-
-
-class CrossOracleError(ArithmeticError):
-    """The two a_p routes disagree."""
+from .fields import check_good_prime
 
 
 class CountMismatchError(ArithmeticError):
@@ -42,27 +40,15 @@ class EisensteinInt:
         self.b = b
 
     def __add__(self, other):
-        other = _coerce(other)
         return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return EisensteinInt(-self.a, -self.b)
 
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = _coerce(other)
         # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd) w  using w^2 = -1 - w
         a, b, c, d = self.a, self.b, other.a, other.b
         return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    __rmul__ = __mul__
 
     def conjugate(self):
         return EisensteinInt(self.a - self.b, -self.b)
@@ -89,8 +75,6 @@ class EisensteinInt:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.b == 0 and self.a == other
         return isinstance(other, EisensteinInt) and self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -99,30 +83,11 @@ class EisensteinInt:
     def __repr__(self):
         return f"EisensteinInt({self.a}, {self.b})"
 
-    def __str__(self):
-        return f"{self.a}{self.b:+}w"
-
-
-def _coerce(x):
-    if isinstance(x, EisensteinInt):
-        return x
-    if isinstance(x, int):
-        return EisensteinInt(x, 0)
-    raise TypeError(f"cannot coerce {type(x).__name__} to EisensteinInt")
-
-
-OMEGA = EisensteinInt(0, 1)
-
 
 def _check_split_prime(p):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 3:
-        raise ValueError("3 is ramified")
-    if p % 3 == 2:
+    check_good_prime(p)
+    if p % 3 != 1:
         raise ValueError(f"{p} is an inert prime (2 mod 3)")
-    if p == 2:
-        raise ValueError("2 is excluded with the bad primes")
 
 
 class CornacchiaSolution(namedtuple("CornacchiaSolution", "p L M")):
@@ -182,81 +147,19 @@ def eisenstein_factor(p: int) -> EisensteinInt:
 
 
 def ap_via_eisenstein(p: int) -> int:
-    """a_p = pi^2 + conj(pi)^2 for the primary factor; must match ap_base."""
+    """a_p = pi^2 + conj(pi)^2 for the primary factor, computed in the ring
+    without ``ap_base``."""
     pi = eisenstein_factor(p)
     sq = pi * pi
     total = sq + sq.conjugate()
     assert total.is_rational
-    value = total.a
-    base = ap_base(p)
-    if value != base:
-        raise CrossOracleError(
-            f"a_{p}: ring route gives {value}, Cornacchia route gives {base}")
-    return value
+    return total.a
 
 
-class CubicCharacter:
-    """The cubic character of conductor 9 with the convention chi(2) = omega.
-
-    (Z/9)^* is cyclic generated by 2; the value table stores the exponent
-    of omega.  The convention is declared, not canonical; identification
-    of the untwisted form does not depend on it.
-    """
-
-    MODULUS = 9
-    _EXPONENT = {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
-
-    def exponent(self, n: int) -> int:
-        r = n % self.MODULUS
-        if math.gcd(r, 3) != 1:
-            raise ValueError(f"{n} is not coprime to 3")
-        return self._EXPONENT[r]
-
-    def __call__(self, n: int) -> EisensteinInt:
-        return _omega_power(self.exponent(n))
-
-
-def _omega_power(e: int) -> EisensteinInt:
-    e %= 3
-    if e == 0:
-        return EisensteinInt(1, 0)
-    if e == 1:
-        return EisensteinInt(0, 1)
-    return EisensteinInt(-1, -1)
-
-
-CHI = CubicCharacter()
-
-TWIST_INDICES = (0, 1, 2)
-
-
-def twisted_ap(p: int, twist_index: int) -> EisensteinInt:
-    """Coefficient of the base form twisted by chi^twist_index, in Z[omega]."""
-    if twist_index not in TWIST_INDICES:
-        raise ValueError(f"twist_index must be 0, 1 or 2, got {twist_index}")
-    a = ap_base(p)
-    e = (CHI.exponent(p) * twist_index) % 3
-    return _coerce(a) * _omega_power(e)
-
-
-class NewformDescriptor(namedtuple("NewformDescriptor", "twist_index weight")):
-    """One member of the candidate family: weight 3 with CM by Q(sqrt(-3)),
-    twisted by the cubic character to the given power.  Index 0 has
-    rational coefficients; indices 1 and 2 are complex conjugates."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
-
-    def __new__(cls, twist_index, weight=3):
-        if twist_index not in TWIST_INDICES:
-            raise ValueError(f"twist_index must be 0, 1 or 2, got {twist_index}")
-        return super().__new__(cls, twist_index, weight)
-
-    def coefficient(self, p: int) -> EisensteinInt:
-        return twisted_ap(p, self.twist_index)
-
-
-CANDIDATE_FORMS = tuple(NewformDescriptor(i) for i in TWIST_INDICES)
+# chi_9(n) = omega^e for n mod 9 coprime to 3: (Z/9)^* is cyclic, generated
+# by 2, and the declared (not canonical) convention is chi_9(2) = omega;
+# identification of the untwisted form does not depend on it
+_EXPONENT_MOD_9 = {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
 
 
 def omega_embeddings(p: int):
@@ -272,11 +175,6 @@ def declared_embedding(p: int) -> int:
     if not roots:
         raise ValueError(f"no cube root of unity mod {p}")
     return roots[0]
-
-
-def reduce_eisenstein(x: EisensteinInt, p: int, z: int) -> int:
-    """Image of x under the embedding omega -> z into GF(p)."""
-    return (x.a + x.b * z) % p
 
 
 class IdentificationResult(NamedTuple):
@@ -297,12 +195,14 @@ class IdentificationResult(NamedTuple):
 def identify_form(residues) -> IdentificationResult:
     """Match (p, residue) pairs against the three candidate forms.
 
-    A candidate survives a split prime if some embedding of Z[omega] into
-    GF(p) sends its coefficient to the residue.  The two nontrivial
-    twists are conjugate, hence indistinguishable under free embedding
-    choices; when both survive and the base form does not, the tie is
-    broken by the declared embedding (smallest cube root of unity), which
-    makes residues generated under that convention round-trip.
+    A candidate survives a split prime if some embedding omega -> z of
+    Z[omega] into GF(p) sends its coefficient to the residue, that is if
+    a_p z^(e i) = r mod p for candidate i, with chi_9(p) = omega^e; it
+    survives an inert prime if r = 0.  The two nontrivial twists are
+    conjugate, hence indistinguishable under free embedding choices; when
+    both survive and the base form does not, the tie is broken by the
+    declared embedding (smallest cube root of unity), which makes residues
+    generated under that convention round-trip.
     """
     given = {}
     for p, r in residues:
@@ -315,20 +215,15 @@ def identify_form(residues) -> IdentificationResult:
         raise ValueError("no residues given")
     pairs = sorted(given.items())
     primes = tuple(p for p, _ in pairs)
+    ap = {p: ap_base(p) for p in primes if p % 3 == 1}
 
     def survives(idx, embedding_of):
-        for p, r in pairs:
-            if p % 3 == 2:
-                if r != 0:
-                    return False
-                continue
-            coeff = twisted_ap(p, idx)
-            ok = any(reduce_eisenstein(coeff, p, z) == r for z in embedding_of(p))
-            if not ok:
-                return False
-        return True
+        return all(r == 0 if p % 3 == 2 else
+                   any(ap[p] * pow(z, _EXPONENT_MOD_9[p % 9] * idx, p) % p == r
+                       for z in embedding_of(p))
+                   for p, r in pairs)
 
-    matches = [idx for idx in TWIST_INDICES if survives(idx, omega_embeddings)]
+    matches = [idx for idx in (0, 1, 2) if survives(idx, omega_embeddings)]
     embeddings = {p: declared_embedding(p) for p in primes if p % 3 == 1}
 
     if len(matches) == 1:

@@ -93,6 +93,14 @@ def enumeration_budget(budget=None) -> int:
     return int(os.environ.get("CFZ_BUDGET", DEFAULT_BUDGET))
 
 
+def _charge_budget(what, cost, unit, budget):
+    """Raise CountBudgetError before a counter does cost units of work
+    past the enumeration budget."""
+    limit = enumeration_budget(budget)
+    if cost > limit:
+        raise CountBudgetError(f"{what}: {cost} {unit} exceed budget {limit}")
+
+
 class CountRecord(NamedTuple):
     """One point count: variety name, prime p, extension degree k, N over GF(p^k)."""
 
@@ -403,13 +411,9 @@ def _ambient_points(spec, q) -> int:
 
 
 def _check_budget(spec, q, budget):
-    total = _ambient_points(spec, q)
     nterms = sum(len(mh.poly.terms) for mh in spec.polys)
-    cost = total * max(1, nterms)
-    limit = enumeration_budget(budget)
-    if cost > limit:
-        raise CountBudgetError(
-            f"{spec.name} over GF({q}): {cost} primitive evaluations exceed budget {limit}")
+    _charge_budget(f"{spec.name} over GF({q})", _ambient_points(spec, q) * max(1, nterms),
+                   "primitive evaluations", budget)
 
 
 def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
@@ -485,10 +489,7 @@ def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
     points are charged against the enumeration budget before the q x q
     field tables are built."""
     q = p ** k
-    base = projective_cardinality(q, 2)
-    limit = enumeration_budget(budget)
-    if base > limit:
-        raise CountBudgetError(f"S over GF({q}): {base} base points exceed budget {limit}")
+    _charge_budget(f"S over GF({q})", projective_cardinality(q, 2), "base points", budget)
     tables = field_tables(field_of_order(q))
     mul, add, neg, _, chi = tables
     cube = [mul[mul[z][z]][z] for z in range(q)]
@@ -593,10 +594,15 @@ def _convolve_mod(a, b, p):
     return out
 
 
-def count_pairsum_convolution(spec: VarietySpec, p: int) -> CountRecord:
-    """O(p^2) count of a pair-sum hypersurface via histogram convolution."""
+def count_pairsum_convolution(spec: VarietySpec, p: int, budget=None) -> CountRecord:
+    """O(p^2) count of a pair-sum hypersurface via histogram convolution.
+
+    The p^|group| assignments the histograms visit are charged against
+    the enumeration budget before any histogram is built."""
     check_good_prime(p)
     mh, groups = pairsum_groups(spec)
+    _charge_budget(f"{spec.name} over GF({p})", sum(p ** len(v) for v, _ in groups),
+                   "group assignments", budget)
     used = {i for var_idx, _ in groups for i in var_idx}
     free = len(spec.blocks[0]) - len(used)
     result = None
@@ -707,7 +713,7 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     elif method == "convolution":
         if k != 1:
             raise ValueError("convolution counter only covers prime fields")
-        rec = count_pairsum_convolution(spec, p)
+        rec = count_pairsum_convolution(spec, p, budget)
     elif method == "generic":
         rec = count_points_generic(spec, p ** k, budget=budget)
     else:

@@ -84,6 +84,24 @@ def test_count_fibered_budget_exceeded():
     assert "133 base points exceed budget 100" in r.stderr
 
 
+def test_count_convolution_budget_exceeded():
+    # 3 * 1009^2 group assignments over GF(1009); refused before any histogram
+    r = run_cli("count", "--variety", "builtin:X", "--primes", "1009", "--budget", "10",
+                "--no-cache")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "3054243 group assignments exceed budget 10" in r.stderr
+
+
+def test_count_convolution_within_default_budget():
+    r = run_cli("count", "--variety", "builtin:X", "--primes", "5..200", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    rows = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [row["p"] for row in rows] == [p for p in range(5, 201)
+                                         if p > 1 and all(p % d for d in range(2, p))]
+    assert rows[-1] == {"p": 199, "k": 1, "count": 1576896498}
+
+
 @pytest.mark.parametrize("spec", [
     {"name": "T", "polys": ["x"]},
     [{"name": "T", "vars": [["x", "y"]], "polys": ["x"]}],
@@ -340,6 +358,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("count-S-ext2-5-7-generic", ["count", "--variety", "builtin:S", "--ext", "2",
                                   "--primes", "5,7", "--method", "generic"]),
     ("trace-table-5-200", ["trace-table", "--primes", "5..200"]),
+    ("verify-forms-5-13", ["verify", "--suite", "forms", "--primes", "5..13"]),
+    ("identify-5-80", ["identify", "--primes", "5..80"]),
+    # twist-1 residues under the declared embedding: the tie-break path
+    ("identify-twist1", ["identify", "--residues",
+                         os.path.join(GOLDEN, "identify-twist1-residues.json")]),
 ])
 def test_golden_stdout(name, args):
     # byte-for-byte stdout of the commands, frozen from an earlier release
@@ -565,3 +588,21 @@ def test_hilbert_square_check_fails_on_a_wrong_point_set(monkeypatch):
                             lambda spec, q, perturb=perturb: perturb(real(spec, q)))
         name, passed, _ = cli._hilbert_square_orbit_check(7)
         assert name == "hilbert-square-7" and not passed
+
+
+def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
+    # a non-primary associate of the Eisenstein prime gives the ring route a
+    # wrong a_p; the suite reports the failed comparison instead of stopping
+    from cfz import cli, cmforms
+    real = cmforms.eisenstein_factor
+    omega = cmforms.EisensteinInt(0, 1)
+    monkeypatch.setattr(cmforms, "eisenstein_factor", lambda p: -real(p) * omega)
+    code = cli.main(["verify", "--suite", "forms", "--primes", "5..13", "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    checks = {c["name"]: c["passed"] for s in report["suites"] for c in s["checks"]}
+    assert checks["dual-oracle-split-primes-200"] is False
+    assert all(passed for name, passed in checks.items()
+               if name != "dual-oracle-split-primes-200")

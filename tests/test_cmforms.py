@@ -3,23 +3,88 @@ import random
 
 import pytest
 
-from cfz.cmforms import (CHI, CornacchiaSolution,
-                         EisensteinInt, OMEGA, ap_base, ap_via_eisenstein,
-                         cornacchia_4p, declared_embedding, eisenstein_factor,
-                         fermat_comparison, identify_form, omega_embeddings,
-                         reduce_eisenstein, twisted_ap)
+from cfz import cmforms
+from cfz.cmforms import (CornacchiaSolution, EisensteinInt, IdentificationResult,
+                         ap_base, ap_via_eisenstein, cornacchia_4p,
+                         declared_embedding, eisenstein_factor, fermat_comparison,
+                         identify_form, omega_embeddings)
 from cfz.counting import count_S_fibered
 from cfz.fields import is_prime
 
 SPLIT_200 = [p for p in range(5, 201) if is_prime(p) and p % 3 == 1]
 TABLE_RESIDUES = [(7, 1), (13, 12), (19, 11), (31, 16), (37, 10)]
 
+ZERO, ONE, OMEGA = EisensteinInt(0, 0), EisensteinInt(1, 0), EisensteinInt(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the candidate forms in Z[omega], reduced at an embedding
+
+def chi9_exponent(n):
+    """e with chi_9(n) = omega^e: the discrete log of n to the base 2 in
+    the cyclic group (Z/9)^*, mod 3, so that chi_9(2) = omega."""
+    return next(k for k in range(6) if pow(2, k, 9) == n % 9) % 3
+
+
+def omega_power(e):
+    out = ONE
+    for _ in range(e % 3):
+        out = out * OMEGA
+    return out
+
+
+def twisted_ap(p, twist_index):
+    """Coefficient of the base form twisted by chi_9^twist_index, in Z[omega]."""
+    return EisensteinInt(ap_base(p), 0) * omega_power(chi9_exponent(p) * twist_index)
+
+
+def reduce_eisenstein(x, p, z):
+    """Image of x under the embedding omega -> z into GF(p)."""
+    return (x.a + x.b * z) % p
+
+
+def reference_identify(residues):
+    """Candidate matching as done in Z[omega]: reduce each twisted
+    coefficient at every embedding, then break the conjugate tie by the
+    declared embedding."""
+    pairs = sorted(dict(residues).items())
+    primes = tuple(p for p, _ in pairs)
+
+    def survives(idx, embedding_of):
+        for p, r in pairs:
+            if p % 3 == 2:
+                if r != 0:
+                    return False
+                continue
+            coeff = twisted_ap(p, idx)
+            if not any(reduce_eisenstein(coeff, p, z) == r for z in embedding_of(p)):
+                return False
+        return True
+
+    matches = [idx for idx in (0, 1, 2) if survives(idx, omega_embeddings)]
+    embeddings = {p: declared_embedding(p) for p in primes if p % 3 == 1}
+    if len(matches) == 1:
+        return IdentificationResult(matches[0], "unique", primes, embeddings)
+    if set(matches) == {1, 2}:
+        declared = [idx for idx in (1, 2) if survives(idx, lambda p: [declared_embedding(p)])]
+        if len(declared) == 1:
+            return IdentificationResult(
+                declared[0], "unique", primes, embeddings,
+                note="twists 1 and 2 separated by the declared embedding convention")
+        return IdentificationResult(None, "ambiguous", primes, embeddings,
+                                    note="conjugate twists indistinguishable")
+    if matches:
+        return IdentificationResult(None, "ambiguous", primes, embeddings,
+                                    note="ambiguous, supply more primes")
+    return IdentificationResult(None, "no_match", primes, embeddings)
+
 
 def test_eisenstein_ring_axioms_small():
     vals = [EisensteinInt(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     for x in vals:
-        assert x + (-x) == 0
-        assert x * 1 == x
+        assert x + (-x) == ZERO
+        assert x * ONE == x
+        assert x + ZERO == x
         assert x.conjugate().conjugate() == x
     rng = random.Random(2)
     for _ in range(500):
@@ -33,9 +98,10 @@ def test_eisenstein_ring_axioms_small():
 
 
 def test_omega_is_a_cube_root():
-    assert OMEGA * OMEGA * OMEGA == 1
-    assert OMEGA * OMEGA + OMEGA + 1 == 0
+    assert OMEGA * OMEGA * OMEGA == ONE
+    assert OMEGA * OMEGA + OMEGA + ONE == ZERO
     assert OMEGA.norm() == 1
+    assert OMEGA.conjugate() == OMEGA * OMEGA
 
 
 def test_cornacchia_known_solutions():
@@ -85,12 +151,18 @@ def test_dual_oracle_agreement_up_to_200():
         assert ap_via_eisenstein(p) == ap_base(p)
 
 
+def test_ring_route_does_not_call_the_cornacchia_route(monkeypatch):
+    monkeypatch.setattr(cmforms, "ap_base", lambda p: pytest.fail("ap_base called"))
+    monkeypatch.setattr(cmforms, "cornacchia_4p", lambda p: pytest.fail("cornacchia called"))
+    assert [ap_via_eisenstein(p) for p in (7, 13, 19, 31, 37)] == [-13, -1, 11, -46, 47]
+
+
 def test_eisenstein_factor_is_primary_prime():
     for p in (7, 13, 19, 31, 37, 61, 103):
         pi = eisenstein_factor(p)
         assert pi.norm() == p
         assert pi.is_primary()
-        assert (pi * pi.conjugate()) == p
+        assert (pi * pi.conjugate()) == EisensteinInt(p, 0)
 
 
 def test_hasse_bound():
@@ -110,27 +182,26 @@ def test_congruence_law_against_counts():
 
 
 def test_cubic_character_table():
-    assert CHI(2) == OMEGA
-    assert CHI(7) == OMEGA
-    assert CHI(4) == OMEGA * OMEGA
-    assert CHI(8) == 1
+    # the library's exponent table is the character chi_9(2) = omega,
+    # whose exponent is the discrete log to the base 2, mod 3
+    table = cmforms._EXPONENT_MOD_9
     units = [1, 2, 4, 5, 7, 8]
+    assert sorted(table) == units
+    assert table[2] == 1 and table[4] == 2 and table[8] == 0
     for a in units:
+        assert table[a] == chi9_exponent(a)
         for b in units:
-            assert CHI(a * b) == CHI(a) * CHI(b)
-        assert CHI(a) * CHI(a) * CHI(a) == 1
-    with pytest.raises(ValueError):
-        CHI(6)
+            assert table[a * b % 9] == (table[a] + table[b]) % 3
 
 
 def test_twisted_ap():
-    assert twisted_ap(7, 0) == -13
+    # the reference route's candidate coefficients in Z[omega]
+    assert twisted_ap(7, 0) == EisensteinInt(-13, 0)
     assert twisted_ap(7, 1) == EisensteinInt(0, -13)   # -13 * omega
     assert twisted_ap(7, 2) == EisensteinInt(0, -13).conjugate()
     for p in [q for q in SPLIT_200 if q <= 100]:
+        assert twisted_ap(p, 0).is_rational
         assert twisted_ap(p, 1).conjugate() == twisted_ap(p, 2)
-    with pytest.raises(ValueError):
-        twisted_ap(7, 3)
 
 
 def test_omega_embeddings():
@@ -139,6 +210,8 @@ def test_omega_embeddings():
     assert omega_embeddings(5) == []
     assert declared_embedding(7) == 2
     assert reduce_eisenstein(EisensteinInt(0, -13), 7, 2) == 2
+    for p in SPLIT_200:
+        assert all((z * z + z + 1) % p == 0 for z in omega_embeddings(p))
 
 
 def test_identify_base_form_from_table():
@@ -174,6 +247,7 @@ def test_identify_round_trips_twists_under_declared_embedding():
             residues.append((p, reduce_eisenstein(twisted_ap(p, idx), p, z)))
         result = identify_form(residues)
         assert result.match == idx, (idx, residues, result)
+        assert result == reference_identify(residues)
 
 
 def test_identify_input_validation():
@@ -196,13 +270,48 @@ def test_fermat_comparison():
         fermat_comparison(5)
 
 
-def test_newform_descriptor_family():
-    from cfz.cmforms import CANDIDATE_FORMS, NewformDescriptor
-    assert len(CANDIDATE_FORMS) == 3
-    assert all(f.weight == 3 for f in CANDIDATE_FORMS)
-    for p in (7, 13, 19):
-        assert CANDIDATE_FORMS[0].coefficient(p).is_rational
-        assert (CANDIDATE_FORMS[1].coefficient(p).conjugate()
-                == CANDIDATE_FORMS[2].coefficient(p))
-    with pytest.raises(ValueError):
-        NewformDescriptor(3)
+GOOD_PRIMES = [p for p in range(5, 80) if is_prime(p)]
+TIE_BROKEN = "twists 1 and 2 separated by the declared embedding convention"
+OUTCOMES = {
+    (0, "unique", ""), (1, "unique", TIE_BROKEN), (2, "unique", TIE_BROKEN),
+    (None, "ambiguous", "conjugate twists indistinguishable"),
+    (None, "ambiguous", "ambiguous, supply more primes"), (None, "no_match", ""),
+}
+
+
+def _seeded_residues(rng):
+    """Residues of one candidate under random embeddings at random primes,
+    some of them perturbed; or inert primes only; or primes = 1 mod 9 only,
+    where chi_9 is trivial and all three candidates agree."""
+    shape = rng.random()
+    if shape < 0.1:
+        primes = rng.sample([p for p in GOOD_PRIMES if p % 3 == 2], rng.randint(1, 3))
+    elif shape < 0.2:
+        primes = rng.sample([19, 37, 73], rng.randint(1, 3))
+    else:
+        primes = rng.sample(GOOD_PRIMES, rng.randint(1, 5))
+    idx = rng.randrange(3)
+    same_embedding = rng.random() < 0.5
+    residues = []
+    for p in primes:
+        if p % 3 == 2:
+            r = 0
+        else:
+            roots = omega_embeddings(p)
+            z = roots[0] if same_embedding else rng.choice(roots)
+            r = reduce_eisenstein(twisted_ap(p, idx), p, z)
+        if rng.random() < 0.1:
+            r = rng.randrange(p)
+        residues.append((p, r))
+    return residues
+
+
+def test_identify_matches_the_reference_route_on_seeded_residues():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(1500):
+        residues = _seeded_residues(rng)
+        result = identify_form(residues)
+        assert result == reference_identify(residues), residues
+        seen.add((result.match, result.status, result.note))
+    assert seen == OUTCOMES

@@ -343,6 +343,18 @@ def test_fibered_counter_is_charged_its_base_points(monkeypatch):
         count_variety(S, 11)
 
 
+def test_convolution_counter_is_charged_its_group_assignments(monkeypatch):
+    # X has three pair groups: 3 * 7^2 = 147 assignments over GF(7)
+    assert count_pairsum_convolution(X, 7, 147) == count_pairsum_convolution(X, 7)
+    monkeypatch.setattr(counting, "group_value_histogram",
+                        lambda *args: pytest.fail("histogram built"))
+    with pytest.raises(CountBudgetError, match="147 group assignments exceed budget 146"):
+        count_pairsum_convolution(X, 7, 146)
+    monkeypatch.setenv("CFZ_BUDGET", "146")
+    with pytest.raises(CountBudgetError):
+        count_variety(X, 7)
+
+
 def test_budget_refusal_names_size():
     with pytest.raises(CountBudgetError) as e:
         count_points_generic(S, 7, budget=100)

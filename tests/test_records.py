@@ -3,8 +3,7 @@ JSON form, defaults and validation are those of their fields."""
 
 import pytest
 
-from cfz.cmforms import (CornacchiaSolution, IdentificationResult, NewformDescriptor,
-                         twisted_ap)
+from cfz.cmforms import CornacchiaSolution, IdentificationResult
 from cfz.counting import CountRecord
 from cfz.fourfold import GroupReport, MapIdentityReport, identity_map
 from cfz.grassmann import LemmaReport
@@ -23,7 +22,6 @@ RECORDS = {
                                        (("alpha", 35),)),
     "IdentificationResult": lambda: IdentificationResult(0, "unique", (7, 13), {7: 2, 13: 3}),
     "CornacchiaSolution": lambda: CornacchiaSolution(7, 1, 1),
-    "NewformDescriptor": lambda: NewformDescriptor(1),
     "LocalFactor": lambda: LocalFactor(7, 2, (1, 13, 49)),
     "CohomologyDecomposition": lambda: CohomologyDecomposition(
         "H", 3, (("a", 1, "x"), ("b", 2, "y"))),
@@ -77,8 +75,6 @@ def test_to_json(name, expected):
 
 def test_defaults_methods_and_properties():
     assert TraceRecord(7, 127, 1).t_alg is None
-    assert NewformDescriptor(1).weight == 3
-    assert NewformDescriptor(twist_index=2, weight=3) == NewformDescriptor(2)
     assert LemmaReport(1, 3, 2, 1, ()).families == ()
     assert IdentificationResult(None, "no_match", (7,), {}).note == ""
     # no shared default: every caller passes its own embedding choices
@@ -87,14 +83,11 @@ def test_defaults_methods_and_properties():
     g = GramMatrix2(4, 10)
     assert g.h2h2 == 3 and g.rows() == ((3, 4), (4, 10))
     assert LocalFactor(7, 2, (1, 13, 49)).degree == 2
-    assert NewformDescriptor(2).coefficient(7) == twisted_ap(7, 2)
 
 
 def test_validation_runs_on_keyword_construction():
     with pytest.raises(ValueError, match="not a solution"):
         CornacchiaSolution(p=7, L=2, M=1)
-    with pytest.raises(ValueError, match="twist_index must be 0, 1 or 2, got 3"):
-        NewformDescriptor(twist_index=3)
     with pytest.raises(ValueError, match="constant term 1"):
         LocalFactor(p=7, weight=2, coeffs=())
     with pytest.raises(ValueError, match="H: piece dimensions sum to 1, not 3"):
@@ -103,7 +96,7 @@ def test_validation_runs_on_keyword_construction():
 
 @pytest.mark.parametrize("name, fields, error", [
     ("CornacchiaSolution", {"L": 2}, "not a solution"),
-    ("NewformDescriptor", {"twist_index": 3}, "twist_index must be 0, 1 or 2"),
+    ("CornacchiaSolution", {"M": 2}, "not a solution"),
     ("LocalFactor", {"coeffs": (2,)}, "constant term 1"),
     ("CohomologyDecomposition", {"betti": 4}, "piece dimensions sum to 3, not 4"),
 ])
