@@ -313,9 +313,12 @@ def _hilbert_square_orbit_check(p):
 
 def _suite_forms(primes):
     checks = []
-    ok = all(ap_via_eisenstein(p) == ap_base(p)
-             for p in range(5, 201) if is_prime(p) and p % 3 == 1)
-    checks.append(("dual-oracle-split-primes-200", ok, {}))
+    # each split prime where the ring route and the Cornacchia route disagree
+    disagree = [{"p": p, "ap_via_eisenstein": ring, "ap_base": base}
+                for p in range(5, 201) if is_prime(p) and p % 3 == 1
+                for ring, base in [(ap_via_eisenstein(p), ap_base(p))] if ring != base]
+    checks.append(("dual-oracle-split-primes-200", not disagree,
+                   {"disagree": disagree} if disagree else {}))
     ok = all(abs(ap_base(p)) <= 2 * p for p in range(5, 201) if is_prime(p))
     checks.append(("hasse-bound-200", ok, {}))
     residues = []

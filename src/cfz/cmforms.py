@@ -163,10 +163,12 @@ _EXPONENT_MOD_9 = {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
 
 
 def omega_embeddings(p: int):
-    """The nontrivial cube roots of unity mod p (empty for inert p), sorted."""
+    """The nontrivial cube roots of unity mod p (empty for inert p), sorted:
+    z = g^((p - 1)/3) for the first g that is not a cube, and z^2."""
     if p % 3 != 1:
         return []
-    return sorted(z for z in range(2, p) if (z * z + z + 1) % p == 0)
+    z = next(z for z in (pow(g, (p - 1) // 3, p) for g in range(2, p)) if z != 1)
+    return sorted((z, z * z % p))
 
 
 def declared_embedding(p: int) -> int:

@@ -11,22 +11,26 @@ cross-check each other:
 * ``count_points_generic`` is the brute-force oracle: it walks the full
   product of canonical projective points and tests every defining
   polynomial for zero through numpy.  ``_projective_rows`` builds the
-  points of each block by rank, as arrays in the order of
-  ``fields.enumerate_projective``, with no Python loop per point.  A
-  GF(p^k) value is its k base-p digits and multiplication is
-  GF(p)-bilinear, so on a slice of block 0 times the product of the
-  later blocks, digit l of an equation of T terms is a float matmul
-  (L_l @ R.T) mod p: L_l holds digit l of each term's coefficient and
-  block-0 monomial times each basis element p^j, read from the mul
-  table, and R the digits of each term's monomial on the later blocks.
-  The sums are exact in float32 while T*k*(p - 1)^2 < 2^23, else in
-  float64 (refused past 2^52).  The first equation is tested on the
-  whole grid, each later one only where the earlier ones vanish, about
-  1/q of the cells.  A slice spans about CHUNK_CELLS = 2^17 grid cells,
-  so memory is bounded by a few chunk-sized grids plus the later blocks'
-  points and T*k digits per point of their product: ~2.2 MiB for the
-  builtin surface over GF(49), whatever the budget allows.  ``points_on_variety`` and ``smoothness_scan`` collect
-  their points through the same slices, in the order of the enumeration.
+  points of a block at any ranks, and ``_product_rows`` those of a product
+  at any flat indices, as arrays in the order of the enumeration, with no
+  Python loop per point.  The oracle sees the product as a grid, a row for
+  each point of block 0 and a column for each point of the product of the
+  later blocks, and walks it in tiles: a range of rows times a range of
+  columns.  A GF(p^k) value is its k base-p digits and multiplication is
+  GF(p)-bilinear, so on a tile digit l of an equation of T terms is a
+  float matmul (L_l @ R) mod p: L_l holds digit l of each term's
+  coefficient and block-0 monomial times each basis element p^j, read
+  from the mul table, and R the digits of each term's monomial at the
+  tile's columns.  The sums are exact in float32 while
+  T*k*(p - 1)^2 < 2^23, else in float64 (refused past 2^52).  The first
+  equation is tested on the whole tile, each later one only where the
+  earlier ones vanish, about 1/q of the cells.  No array of a tile holds
+  more than about CHUNK_CELLS = 2^15 entries, so memory is bounded
+  whatever q, the block order and the budget: a traced peak of about
+  0.6 MiB for the builtin surface over GF(49), and under 0.9 MiB for a
+  hypersurface of bidegree (1,3) in P^1 x P^4 or P^4 x P^1 over GF(31).
+  ``points_on_variety`` and ``smoothness_scan`` sort the flat grid indices
+  of their points back into the order of the enumeration.
   A point is singular iff every r x r minor of the full Jacobian matrix
   of the r nonzero equations vanishes there (Euler's relation gives the
   local Jacobian the same rank), so ``smoothness_scan`` adds those minors
@@ -73,9 +77,11 @@ from .polynomials import MultiHomPoly, Poly, parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
 DEFAULT_BUDGET = 10 ** 9
-# cells of the product grid the generic oracle evaluates at once; a float32
-# grid of this size is 512 KiB for each of the k digits
-CHUNK_CELLS = 1 << 17
+# the most entries any array of one tile of the generic oracle holds: its
+# float values and their scratch copy, its zero masks, its point rows, the
+# digits R of the later blocks and the left factors; a float32 grid of this
+# size, its scratch copy and two masks take 320 KiB
+CHUNK_CELLS = 1 << 15
 COUNT_METHODS = ("generic", "fibered", "convolution")
 
 
@@ -255,27 +261,42 @@ def _fits_weil_bound(name, count: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # generic oracle over the full product of projective spaces
 
-def _projective_rows(q, n, start, stop):
-    """The points of P^n with ranks in [start, stop) in the order of
-    ``fields.enumerate_projective(q, n)``, as an int64 array, one row per
-    point.  The q^(n - l) points whose leading 1 is coordinate l come
-    after those of every earlier l, and within them point i holds the
-    base-q digits of i, so coordinate c is digit n - c of i."""
+def _projective_rows(q, n, rank, out=None):
+    """The points of P^n with the given ranks (an int64 array) in the
+    order of ``fields.enumerate_projective(q, n)``, one row per point,
+    written into out (an int64 array of n + 1 columns) if given.  The
+    q^(n - l) points whose leading 1 is coordinate l come after those of
+    every earlier l, and within them point i holds the base-q digits of i,
+    so coordinate c is digit n - c of i."""
     import numpy as np
 
     sizes = q ** np.arange(n, -1, -1, dtype=np.int64)  # points for each lead l
     ends = np.cumsum(sizes)
-    rank = np.arange(start, min(stop, int(ends[-1])), dtype=np.int64)
     lead = np.searchsorted(ends, rank, side="right")
     index = rank - (ends - sizes)[lead]
+    rows = np.empty((len(rank), n + 1), dtype=np.int64) if out is None else out
     # coordinates before the lead are digits of index past its last one: 0
-    rows = index[:, None] // sizes % q
+    for c, size in enumerate(sizes):
+        np.floor_divide(index, size, out=rows[:, c])
+        rows[:, c] %= q
     rows[np.arange(len(rank)), lead] = 1
     return rows
 
 
-def _block_point_arrays(q, dims):
-    return [_projective_rows(q, n, 0, projective_cardinality(q, n)) for n in dims]
+def _product_rows(q, dims, index):
+    """The points of the product of P^n, n in dims, at the flat indices
+    index (an int64 array) of the product in C order, one row per point
+    with the coordinates of all blocks side by side."""
+    import numpy as np
+
+    sizes = [projective_cardinality(q, n) for n in dims]
+    rows = np.empty((len(index), sum(dims) + len(dims)), dtype=np.int64)
+    stride, lo = math.prod(sizes), 0
+    for n, size in zip(dims, sizes):
+        stride //= size
+        _projective_rows(q, n, index // stride % size, out=rows[:, lo:lo + n + 1])
+        lo += n + 1
+    return rows
 
 
 def _monomial_values(exps, coords, mul):
@@ -289,28 +310,13 @@ def _monomial_values(exps, coords, mul):
     return np.ones(len(coords), dtype=np.int64) if mono is None else mono
 
 
-def _equation_terms(spec, rest, p, k, mul):
-    """Each nonzero equation as (coefficients, block-0 exponents, digits):
-    digits is n1 x T*k, the k base-p digits of each of its T terms'
-    monomials at each point of the product of the later blocks."""
-    import numpy as np
-
-    equations = []
-    for mh in spec.polys:
-        if mh.poly.is_zero:
-            continue
-        (lo0, hi0), *slices = mh.block_slices()
-        terms = mh.poly.sorted_terms()
-        later = []
-        for exps, _ in terms:
-            values = np.ones(1, dtype=np.int64)
-            for (lo, hi), pts in zip(slices, rest):
-                values = mul[values[:, None], _monomial_values(exps[lo:hi], pts, mul)].ravel()
-            later.append(values)
-        digits = np.stack(later, axis=1)[:, :, None] // p ** np.arange(k) % p
-        equations.append(([c % p for _, c in terms], [e[lo0:hi0] for e, _ in terms],
-                          digits.reshape(len(later[0]), -1)))
-    return equations
+def _equations(spec, p):
+    """Each nonzero equation as the coefficients mod p, block-0 exponents
+    and later blocks' exponents of its terms."""
+    cut = len(spec.blocks[0])
+    terms = [mh.poly.sorted_terms() for mh in spec.polys if not mh.poly.is_zero]
+    return [([c % p for _, c in ts], [e[:cut] for e, _ in ts], [e[cut:] for e, _ in ts])
+            for ts in terms]
 
 
 def _exact_dtype(p, width):
@@ -325,16 +331,30 @@ def _exact_dtype(p, width):
     return np.float32 if top < 1 << 23 else np.float64
 
 
-def _left_factors(equation, head, mul, times):
-    """The left factors of one equation on the slice head, k x n0 x T*k:
-    entry [l, a, t*k + j] is digit l of u_t(a) * p^j, u_t(a) the
-    coefficient of term t times its monomial on block 0 at a."""
+def _head_values(equation, head, mul):
+    """u, n0 x T: each term's coefficient times its block-0 monomial at
+    each row of head.  Digit l of the left factors is times[l][u], whose
+    entry [a, t*k + j] is digit l of u_t(a) * p^j."""
     import numpy as np
 
     coeffs, exps0, _ = equation
-    u = np.stack([mul[c, _monomial_values(e, head, mul)] for c, e in zip(coeffs, exps0)],
-                 axis=1)
-    return np.stack([t[u].reshape(len(head), -1) for t in times])
+    return np.stack([mul[c, _monomial_values(e, head, mul)] for c, e in zip(coeffs, exps0)],
+                    axis=1)
+
+
+def _right_factors(equation, points, p, k, mul, dtype):
+    """R, one row per term and digit, one column per point: row t*k + j
+    holds digit j of term t's monomial on the later blocks at each of
+    points."""
+    import numpy as np
+
+    *_, exps = equation
+    right = np.empty((len(exps) * k, len(points)), dtype=dtype)
+    for t, e in enumerate(exps):
+        values = _monomial_values(e, points, mul)
+        for j in range(k):
+            right[t * k + j] = values // p ** j % p
+    return right
 
 
 def _multiple_of(g, p, scratch, out):
@@ -348,59 +368,87 @@ def _multiple_of(g, p, scratch, out):
 
 
 def _zero_cells(spec, field, mul):
-    """The zero set of the equations, one slice of block 0 at a time.
+    """The zero set of the equations, one tile of the product grid at a time.
 
-    Yields (blocks, cells): the point arrays of the slice of block 0 and of
-    every later block, and the flat indices, ascending, of the cells of
-    the grid over their product (in C order) where every equation
-    vanishes.  Digit l of the first equation on the slice is the
-    matmul of its left factors L_l with its digits R, reduced mod p; each
-    later equation is tested only at the cells where all before it vanish.
-    A slice spans about CHUNK_CELLS grid cells, so memory is bounded by the
-    chunk, the later blocks' point arrays and the digit arrays R, whatever
-    the budget allows."""
+    The grid has a row for each point of block 0 and a column for each
+    point of the product of the later blocks, in C order.  A tile is a
+    range of rows times a range of columns; the loop runs over column
+    ranges and, within one, over row ranges, so the digits R of the later
+    blocks are built once per column range, and once per call when a row
+    of the grid fits in one tile.  Yields the flat grid indices, ascending
+    within a tile, of the cells of each tile where every equation
+    vanishes.  Every array a tile holds, the float values and their
+    scratch copy, the zero mask, the point rows, the head values, R and
+    the left factors, has at most about CHUNK_CELLS entries, whatever q,
+    the block order and the budget."""
     import numpy as np
 
     q, p, k = field.order, field.char, field.degree
-    rest = _block_point_arrays(q, spec.ambient[1:])
-    n1 = math.prod(len(a) for a in rest)
-    equations = _equation_terms(spec, rest, p, k, mul)
-    width = max((digits.shape[1] for *_, digits in equations), default=1)
-    dtype = _exact_dtype(p, width)
+    n0, *later = spec.ambient
+    total0 = projective_cardinality(q, n0)
+    n1 = math.prod(projective_cardinality(q, n) for n in later)
+    equations = _equations(spec, p)
+    terms = [len(coeffs) for coeffs, *_ in equations]
+    widths = [t * k for t in terms] or [1]
+    dtype = _exact_dtype(p, max(widths))
+    span = min(n1, max(1, CHUNK_CELLS // max(sum(widths), sum(later) + len(later))))
+    step = max(1, CHUNK_CELLS // max(span, max(widths), n0 + 1))
+    # rows of block 0 whose points and head values are built at once; at a
+    # quarter of CHUNK_CELLS int64 entries each, they take half the bytes of
+    # the float32 grid
+    batch = max(step, CHUNK_CELLS // (4 * max(sum(terms), n0 + 1)))
+    batch -= batch % step
     basis = mul[:, p ** np.arange(k)]
     times = [(basis // p ** l % p).astype(dtype) for l in range(k)]
-    right = [digits.astype(dtype) for *_, digits in equations]
-    if right:  # the first equation's R.T, contiguous for the matmul
-        right[0] = np.ascontiguousarray(right[0].T)
-    step = max(1, CHUNK_CELLS // max(n1, width))
-    grid, scratch, digit_zero = (np.empty(step * n1, dtype=t) for t in (dtype, dtype, bool))
-    total0 = projective_cardinality(q, spec.ambient[0])
-    for start in range(0, total0, step):
-        head = _projective_rows(q, spec.ambient[0], start, start + step)
-        n0 = len(head)
-        if not equations:
-            yield [head] + rest, np.arange(n0 * n1)
-            continue
-        g, s, z = (b[:n0 * n1].reshape(n0, n1) for b in (grid, scratch, digit_zero))
-        mask = np.empty((n0, n1), dtype=bool)
-        for l, left in enumerate(_left_factors(equations[0], head, mul, times)):
-            np.matmul(left, right[0], out=g)
-            if l:
-                mask &= _multiple_of(g, p, s, z)
-            else:
-                _multiple_of(g, p, s, mask)
-        survivors = np.flatnonzero(mask)
-        for equation, digits in zip(equations[1:], right[1:]):
-            left = _left_factors(equation, head, mul, times)
-            chunk = max(1, CHUNK_CELLS // (k * digits.shape[1]))
-            zero = np.empty(len(survivors), dtype=bool)
-            for i in range(0, len(survivors), chunk):  # digit l: rows of L_l dot rows of R
-                ia, ib = np.divmod(survivors[i:i + chunk], n1)
-                value = np.einsum("liw,iw->li", left.take(ia, 1), digits.take(ib, 0))
-                zero[i:i + chunk] = _multiple_of(value, p, np.empty_like(value),
-                                                 np.empty(value.shape, bool)).all(0)
-            survivors = survivors[zero]
-        yield [head] + rest, survivors
+    # the float values, their scratch copy, the zero mask and, for k > 1,
+    # the mask of one digit
+    buffers = [np.empty(step * span, dtype=t) for t in (dtype, dtype, bool)]
+    buffers.append(np.empty(step * span if k > 1 else 0, dtype=bool))
+    for j0 in range(0, n1, span):
+        points = _product_rows(q, later, np.arange(j0, min(j0 + span, n1)))
+        m = len(points)
+        right = [_right_factors(e, points, p, k, mul, dtype) for e in equations]
+        del points
+        for h0 in range(0, total0, batch):
+            head = _projective_rows(q, n0, np.arange(h0, min(h0 + batch, total0)))
+            values = [_head_values(e, head, mul) for e in equations]
+            for a0 in range(0, len(head), step):
+                cells = (_tile_zeros([u[a0:a0 + step] for u in values], right, p, times, buffers)
+                         if equations else np.arange(min(step, len(head) - a0) * m))
+                a, b = np.divmod(cells, m)
+                yield (h0 + a0 + a) * n1 + (j0 + b)
+
+
+def _tile_zeros(values, right, p, times, buffers):
+    """The flat indices, ascending, of the cells of the tile where every
+    equation vanishes, given each equation's head values u on the tile's
+    rows and its R on the tile's columns.  Digit l of the first equation
+    is the matmul of its left factors L_l with its R, reduced mod p, on
+    the whole tile; each later equation is tested only at the cells where
+    all before it vanish, one digit at a time."""
+    import numpy as np
+
+    n0, m = len(values[0]), right[0].shape[1]
+    g, s, z, digit_zero = (b[:n0 * m].reshape(n0, -1) for b in buffers)
+    u = values[0]
+    for l, t in enumerate(times):
+        np.matmul(t[u].reshape(n0, -1), right[0], out=g)
+        if l:
+            z &= _multiple_of(g, p, s, digit_zero)
+        else:
+            _multiple_of(g, p, s, z)
+    cells = np.flatnonzero(z)
+    for u, r in zip(values[1:], right[1:]):
+        chunk = max(1, CHUNK_CELLS // r.shape[0])
+        for t in times:  # digit l: rows of L_l dot columns of R
+            left = t[u].reshape(n0, -1)
+            keep = np.empty(len(cells), dtype=bool)
+            for i in range(0, len(cells), chunk):
+                a, b = np.divmod(cells[i:i + chunk], m)
+                value = np.einsum("iw,wi->i", left.take(a, 0), r.take(b, 1))
+                _multiple_of(value, p, np.empty_like(value), keep[i:i + chunk])
+            cells = cells[keep]
+    return cells
 
 
 def _ambient_points(spec, q) -> int:
@@ -423,15 +471,17 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     field = field_of_order(q)
     _check_budget(spec, q, budget)
     mul = np.array(field_tables(field).mul, dtype=np.int64)
-    count = sum(len(cells) for _, cells in _zero_cells(spec, field, mul))
+    count = sum(len(cells) for cells in _zero_cells(spec, field, mul))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
 def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
-    """The encodings of the rational points of spec where every equation
-    in extra vanishes too: one row per point, the coordinates of all
-    blocks side by side, in the order of the product enumeration.  The
-    budget is charged for spec's own equations."""
+    """The rational points of spec where every equation in extra vanishes
+    too, in the order of the product enumeration: one flat tuple of the
+    encodings of all blocks per point.  The flat grid indices of the
+    points are sorted, since tiles need not come in grid order, and turned
+    into points a few at a time.  The budget is charged for spec's own
+    equations."""
     import numpy as np
 
     field = field_of_order(q)
@@ -439,16 +489,17 @@ def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
     if extra:
         spec = VarietySpec(spec.name, spec.blocks, spec.polys + list(extra))
     mul = np.array(field_tables(field).mul, dtype=np.int64)
-    found = []
-    for blocks, cells in _zero_cells(spec, field, mul):
-        idx = np.unravel_index(cells, [len(a) for a in blocks])
-        found.append(np.concatenate([a[i] for a, i in zip(blocks, idx)], axis=1))
-    return np.concatenate(found)
+    cells = np.concatenate(list(_zero_cells(spec, field, mul)))
+    cells.sort()
+    points, chunk = [], max(1, CHUNK_CELLS // (sum(spec.ambient) + len(spec.ambient)))
+    for i in range(0, len(cells), chunk):
+        points += zip(*_product_rows(q, spec.ambient, cells[i:i + chunk]).T.tolist())
+    return points
 
 
 def points_on_variety(spec: VarietySpec, q: int, budget=None):
     """All rational points, one flat tuple of coordinate encodings each."""
-    return list(map(tuple, _rational_points(spec, q, budget).tolist()))
+    return _rational_points(spec, q, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +716,7 @@ def smoothness_scan(spec: VarietySpec, q: int, budget=None):
     partial evidence of smoothness, not a proof (singularities may live
     in higher-degree extensions).
     """
-    return list(map(tuple, _rational_points(spec, q, budget,
-                                            _jacobian_minors(spec)).tolist()))
+    return _rational_points(spec, q, budget, _jacobian_minors(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,7 @@ def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
     # a non-primary associate of the Eisenstein prime gives the ring route a
     # wrong a_p; the suite reports the failed comparison instead of stopping
     from cfz import cli, cmforms
+    from cfz.fields import is_prime
     real = cmforms.eisenstein_factor
     omega = cmforms.EisensteinInt(0, 1)
     monkeypatch.setattr(cmforms, "eisenstein_factor", lambda p: -real(p) * omega)
@@ -606,3 +607,12 @@ def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
     assert checks["dual-oracle-split-primes-200"] is False
     assert all(passed for name, passed in checks.items()
                if name != "dual-oracle-split-primes-200")
+    # the detail names every split prime below 200 where the routes
+    # disagree, with both values
+    (detail,) = [c["detail"] for s in report["suites"] for c in s["checks"]
+                 if c["name"] == "dual-oracle-split-primes-200"]
+    split = [p for p in range(5, 201) if is_prime(p) and p % 3 == 1]
+    want = [{"p": p, "ap_via_eisenstein": cmforms.ap_via_eisenstein(p),
+             "ap_base": cmforms.ap_base(p)} for p in split]
+    want = [d for d in want if d["ap_via_eisenstein"] != d["ap_base"]]
+    assert want and detail == {"disagree": want}

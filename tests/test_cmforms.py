@@ -214,6 +214,19 @@ def test_omega_embeddings():
         assert all((z * z + z + 1) % p == 0 for z in omega_embeddings(p))
 
 
+def trial_omega_embeddings(p):
+    """Reference: the roots of z^2 + z + 1 mod p, by trial over GF(p)."""
+    return sorted(z for z in range(2, p) if (z * z + z + 1) % p == 0)
+
+
+def test_omega_embeddings_match_the_trial_scan():
+    for p in range(5, 2000):
+        if is_prime(p):
+            assert omega_embeddings(p) == (trial_omega_embeddings(p) if p % 3 == 1 else [])
+    roots = omega_embeddings(1000003)
+    assert len(set(roots)) == 2 and all((z * z + z + 1) % 1000003 == 0 for z in roots)
+
+
 def test_identify_base_form_from_table():
     result = identify_form(TABLE_RESIDUES)
     assert result.match == 0 and result.status == "unique"

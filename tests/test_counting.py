@@ -7,7 +7,7 @@ import pytest
 
 from cfz.cache import CountCache
 from cfz import counting
-from cfz.counting import (CHUNK_CELLS, ConvolutionStructureError, CountBudgetError,
+from cfz.counting import (ConvolutionStructureError, CountBudgetError,
                           VarietySpec, _s_fiber_count,
                           builtin_variety, count_fermat_cubic,
                           count_pairsum_convolution, count_points_generic,
@@ -70,9 +70,10 @@ def test_empty_system_counts_whole_space():
     assert count_points_generic(spec0, 7).count == 57
 
 
-# slice sizes for the generic oracle: one cell per slice, ragged slices,
-# and the default; a slice is never less than one row of block 0
-CHUNKS = [1, 1000, CHUNK_CELLS]
+# tile sizes for the generic oracle: one cell per tile, so a tile is less
+# than one row of the grid, ragged tiles, and tiles of 2^17 cells, four
+# times the default, which every other test runs at
+CHUNKS = [1, 1000, 1 << 17]
 
 
 @pytest.mark.parametrize("cells", CHUNKS)
@@ -82,7 +83,7 @@ def test_generic_slices_match_fibered(monkeypatch, p, cells):
     assert count_points_generic(S, p).count == count_S_fibered(p, 1).count
 
 
-@pytest.mark.parametrize("cells", [1000, 4099, CHUNK_CELLS])
+@pytest.mark.parametrize("cells", [1000, 4099, 1 << 17])
 def test_generic_slices_single_block(monkeypatch, cells):
     # X and the Fermat cubic live in one P^5: block 0 is the whole space
     monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
@@ -105,21 +106,52 @@ def test_points_keep_their_order_across_slices(monkeypatch):
     assert [points_on_variety(S, q) for q in (7, 25)] == whole
 
 
-def _peak_mib(fn):
+def _traced_mib(fn):
+    """fn's result, and the peak and the held traced memory of the call in
+    MiB, the result still held."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak / 2 ** 20, held / 2 ** 20
     finally:
         tracemalloc.stop()
 
 
 def test_generic_oracle_memory_is_bounded():
     # the whole 2451 x 2451 grid of S over GF(49) would take ~144 MiB of
-    # int64 arrays; slices of CHUNK_CELLS cells keep the peak to a few MiB
+    # int64 arrays; tiles of CHUNK_CELLS entries keep the peak near 0.6 MiB
+    # (0.60 to 0.63 MiB measured)
+    count_points_generic(S, 7)  # numpy loaded outside the traced calls
     field_tables(field_of_order(49))
-    assert _peak_mib(lambda: count_points_generic(S, 49)) < 16
-    assert _peak_mib(lambda: points_on_variety(S, 49)) < 16
+    assert _traced_mib(lambda: count_points_generic(S, 49))[1] < 0.75
+    assert _traced_mib(lambda: points_on_variety(S, 49))[1] < 0.75
+
+
+# one 7-term hypersurface of bidegree (1,3) in P^1 x P^4, with the blocks in
+# either order
+BIDEGREE_13 = "s*a^3+t*b^3+2*s*c^3+3*t*d^3+s*e^3+t*a*b*c+5*s*c*d*e"
+BLOCKS_13 = {"P1xP4": [["s", "t"], ["a", "b", "c", "d", "e"]],
+             "P4xP1": [["a", "b", "c", "d", "e"], ["s", "t"]]}
+# the traced peak of a generic count of it, whatever q and the block order
+# (0.54 to 0.86 MiB measured over GF(23) and GF(31))
+TILE_PEAK_MIB = 1.25
+
+
+@pytest.mark.parametrize("q, n", [(23, 304866), (31, 982112)])
+@pytest.mark.parametrize("order", sorted(BLOCKS_13))
+def test_generic_oracle_memory_is_bounded_in_every_block_order(order, q, n):
+    blocks = BLOCKS_13[order]
+    spec = VarietySpec.from_dict({"name": order, "ambient": [len(b) - 1 for b in blocks],
+                                  "vars": blocks, "polys": [BIDEGREE_13]})
+    count_points_generic(S, 7)  # numpy loaded outside the traced calls
+    field_tables(field_of_order(q))
+    record, peak, _ = _traced_mib(lambda: count_points_generic(spec, q))
+    assert record.count == n and peak < TILE_PEAK_MIB
+    # beyond the list of points it returns, points_on_variety holds the
+    # sorted flat index of each point, 8 bytes, and one tile
+    points, peak, held = _traced_mib(lambda: points_on_variety(spec, q))
+    assert len(points) == n and peak - held - 8 * n / 2 ** 20 < TILE_PEAK_MIB
 
 
 def test_prime_sweep_keeps_one_table_set():

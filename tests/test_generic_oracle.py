@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from cfz import counting
-from cfz.counting import (CHUNK_CELLS, VarietySpec, count_points_generic, points_on_variety,
-                          smoothness_scan)
+from cfz.counting import VarietySpec, count_points_generic, points_on_variety, smoothness_scan
 from cfz.fields import enumerate_projective, field_of_order, field_tables
 from cfz.linalg import rref
 from cfz.polynomials import MultiHomPoly
@@ -103,7 +102,8 @@ def _case(name, q):
     return spec, _reference_points(spec, q)
 
 
-@pytest.mark.parametrize("cells", [1, 1000, CHUNK_CELLS])
+# tile sizes: one cell, ragged tiles, and 2^17 cells, four times the default
+@pytest.mark.parametrize("cells", [1, 1000, 1 << 17])
 @pytest.mark.parametrize("q", [5, 7, 25, 125])
 @pytest.mark.parametrize("name", CASES)
 def test_generic_oracle_matches_point_by_point(monkeypatch, name, q, cells):
@@ -111,6 +111,33 @@ def test_generic_oracle_matches_point_by_point(monkeypatch, name, q, cells):
     monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
     assert count_points_generic(spec, q).count == len(want)
     assert points_on_variety(spec, q) == want
+
+
+# a later block much larger than block 0: P^1 x P^2
+WIDE_LATER = _random_spec(7, [1, 2], [((1, 2), 6)])
+
+
+@pytest.mark.parametrize("q, spans", [(7, [33, 24]), (25, [16] * 40 + [11])])
+def test_later_product_split_across_tiles(monkeypatch, q, spans):
+    # the columns of the grid, one per point of P^2, take 6 digit rows
+    # each over GF(7) and 12 over GF(25), so a tile of 200 cells holds 33
+    # or 16 of them and block 0 is walked once per column range; the
+    # points still come in the order of the enumeration, though the tiles
+    # do not
+    want = _reference_points(WIDE_LATER, q)
+    seen = []
+    real = counting._right_factors
+    monkeypatch.setattr(counting, "_right_factors",
+                        lambda equation, points, *rest: seen.append(len(points))
+                        or real(equation, points, *rest))
+    monkeypatch.setattr(counting, "CHUNK_CELLS", 200)
+    assert count_points_generic(WIDE_LATER, q).count == len(want)
+    assert points_on_variety(WIDE_LATER, q) == want
+    assert seen == spans * 2
+    field = field_of_order(q)
+    mul = np.array(field_tables(field).mul, dtype=np.int64)
+    cells = np.concatenate(list(counting._zero_cells(WIDE_LATER, field, mul)))
+    assert len(cells) == len(want) and (np.diff(cells) < 0).any()
 
 
 def test_many_terms_over_gf_125_in_float32():
@@ -263,8 +290,20 @@ def test_projective_rows_follow_the_enumeration(q, n):
     cuts = sorted({0, 1, total // 3, total // 2, total - 1, total}
                   | {min(total, e + d) for e in ends for d in (-1, 0, 1)})
     for start, stop in zip(cuts, cuts[1:]):
-        got = counting._projective_rows(q, n, start, stop)
+        got = counting._projective_rows(q, n, np.arange(start, stop))
         assert got.dtype == np.int64
         assert np.array_equal(got, want[start:stop])
-    assert np.array_equal(counting._projective_rows(q, n, 0, total + 5), want)
-    assert counting._projective_rows(q, n, total, total).shape == (0, n + 1)
+    # any ranks, in any order, repeated
+    rank = np.random.default_rng(n).integers(0, total, 3 * total)
+    assert np.array_equal(counting._projective_rows(q, n, rank), want[rank])
+    assert counting._projective_rows(q, n, np.arange(0)).shape == (0, n + 1)
+
+
+@pytest.mark.parametrize("dims", [[1, 0, 2], [2, 1], [0], [3]])
+def test_product_rows_follow_the_product_enumeration(dims):
+    want = np.array([sum(point, ()) for point in
+                     product(*(enumerate_projective(5, n) for n in dims))],
+                    dtype=np.int64).reshape(-1, sum(dims) + len(dims))
+    index = np.random.default_rng(len(dims)).integers(0, len(want), 2 * len(want))
+    assert np.array_equal(counting._product_rows(5, dims, index), want[index])
+    assert np.array_equal(counting._product_rows(5, dims, np.arange(len(want))), want)
