@@ -2,7 +2,8 @@
 
 Every function here takes and returns integer encodings of field
 elements and does its arithmetic through the one table set of
-``fields.field_tables`` (mul, add, neg, inv, chi); ``points_on_variety``
+``fields.field_tables`` (O(1) mul, add, neg, inv and chi on lists of
+about q entries); ``points_on_variety``
 and ``smoothness_scan`` return one flat tuple of encodings per point, the
 coordinates of all blocks in the spec's variable order.  Three counters
 with very different shapes, kept deliberately independent so they can
@@ -41,7 +42,7 @@ cross-check each other:
   in the second P^2, and the first equation restricts to a binary
   quadratic on that line, whose discriminant is -xyz(x^3 + y^3 + z^3) up
   to a nonzero square.  The counter sums the quadratic character of that
-  value over the base, row by row through list tables, and counts the
+  value over the base by its sixth-power classes in O(q), and counts the
   O(q) fibers where it vanishes (on xyz = 0 or on the Fermat cubic curve)
   one by one with ``_s_fiber_count``, which counts the zeros of the
   restriction through ``fields.quadratic_root_count`` and so also sees the
@@ -58,14 +59,13 @@ cross-check each other:
 All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (p - 1) and verifies exactness.
 
-numpy is imported inside the generic oracle's kernels only, which convert
-the mul list table once, so a count served from the cache, by the fibered
-counter or by the convolution counter never loads it.
+numpy is imported inside the generic oracle's kernels only, so a count
+served from the cache, by the fibered counter or by the convolution
+counter never loads it.
 """
 
 import json
 import math
-import operator
 import os
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -464,14 +464,23 @@ def _check_budget(spec, q, budget):
                    "primitive evaluations", budget)
 
 
-def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
-    """Exact point count by full enumeration of the product of canonical points."""
+def _mul_array(field):
+    """The mul table of field as a q x q array: g^i * g^j = g^(i + j)."""
     import numpy as np
 
+    powers, log = field_tables(field)[:2]
+    exps = np.add.outer(log, log)
+    exps %= len(powers)
+    mul = np.array(powers)[exps]
+    mul[0] = mul[:, 0] = 0
+    return mul
+
+
+def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
+    """Exact point count by full enumeration of the product of canonical points."""
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    mul = np.array(field_tables(field).mul, dtype=np.int64)
-    count = sum(len(cells) for cells in _zero_cells(spec, field, mul))
+    count = sum(len(cells) for cells in _zero_cells(spec, field, _mul_array(field)))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
@@ -488,8 +497,7 @@ def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
     _check_budget(spec, q, budget)
     if extra:
         spec = VarietySpec(spec.name, spec.blocks, spec.polys + list(extra))
-    mul = np.array(field_tables(field).mul, dtype=np.int64)
-    cells = np.concatenate(list(_zero_cells(spec, field, mul)))
+    cells = np.concatenate(list(_zero_cells(spec, field, _mul_array(field))))
     cells.sort()
     points, chunk = [], max(1, CHUNK_CELLS // (sum(spec.ambient) + len(spec.ambient)))
     for i in range(0, len(cells), chunk):
@@ -507,25 +515,25 @@ def points_on_variety(spec: VarietySpec, q: int, budget=None):
 
 def _s_fiber_count(xyz, tables) -> int:
     """Points of S above one base point [x:y:z]: zeros of the first equation
-    on the line cut by the second.  Encodings in, list tables."""
-    mul, add, neg, inv, _ = tables
+    on the line cut by the second.  Encodings in, the field's table set."""
+    mul, add, neg, inv = tables.mul, tables.add, tables.neg, tables.inv
     x, y, z = xyz
-    c0, c1, c2 = mul[x][x], mul[y][y], mul[z][z]
+    c0, c1, c2 = mul(x, x), mul(y, y), mul(z, z)
     # two points spanning the line c0*u + c1*v + c2*w = 0
     if c0:
-        s = inv[c0]
-        b1, b2 = (neg[mul[c1][s]], 1, 0), (neg[mul[c2][s]], 0, 1)
+        s = inv(c0)
+        b1, b2 = (neg(mul(c1, s)), 1, 0), (neg(mul(c2, s)), 0, 1)
     elif c1:
-        b1, b2 = (1, 0, 0), (0, neg[mul[c2][inv[c1]]], 1)
+        b1, b2 = (1, 0, 0), (0, neg(mul(c2, inv(c1))), 1)
     else:
         b1, b2 = (1, 0, 0), (0, 1, 0)
 
     def form(u, v):  # polar form of x*u^2 + y*v^2 + z*w^2
-        return add[add[mul[x][mul[u[0]][v[0]]]][mul[y][mul[u[1]][v[1]]]]][
-            mul[z][mul[u[2]][v[2]]]]
+        return add(add(mul(x, mul(u[0], v[0])), mul(y, mul(u[1], v[1]))),
+                   mul(z, mul(u[2], v[2])))
 
     # the restriction is qa*U^2 + 2*cross*UV + qc*V^2
-    return quadratic_root_count(form(b1, b1), mul[2][form(b1, b2)], form(b2, b2), tables)
+    return quadratic_root_count(form(b1, b1), mul(2, form(b1, b2)), form(b2, b2), tables)
 
 
 def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
@@ -533,31 +541,42 @@ def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
 
     Up to a nonzero square, the discriminant of the fiber above [x:y:z] is
     -xyz(x^3 + y^3 + z^3), so a fiber where c = xyz(x^3 + y^3 + z^3) is
-    nonzero has 1 + chi(-1) chi(c) points.  Since chi is multiplicative,
-    the chart x = 1 sums chi(y) chi(z) chi(1 + y^3 + z^3) row by row.  The
-    O(q) base points with c = 0, on xyz = 0 or on the Fermat cubic curve,
-    are counted exactly by ``_s_fiber_count``.  The q^2 + q + 1 base
-    points are charged against the enumeration budget before the q x q
-    field tables are built."""
+    nonzero has 1 + chi(-1) chi(c) points.  In the chart x = 1 the chi(c)
+    sum to sum_{y != 0} chi(y) F(1 + y^3), F(c) = sum_z chi(z) chi(c + z^3).
+    F(0) = q - 1 and F(l^6 c) = F(c) (put z = l^2 z'), so F(g^s) is summed
+    once for each class s mod gcd(6, q - 1), in logs.  The O(q) base
+    points with c = 0, on xyz = 0 or on the Fermat cubic curve, are
+    counted exactly by ``_s_fiber_count``.  The q^2 + q + 1 base points
+    are charged against the enumeration budget before the field tables
+    are built."""
     q = p ** k
     _charge_budget(f"S over GF({q})", projective_cardinality(q, 2), "base points", budget)
     tables = field_tables(field_of_order(q))
-    mul, add, neg, _, chi = tables
-    cube = [mul[mul[z][z]][z] for z in range(q)]
+    powers, _, zech, chi = tables
+    n = q - 1
+    d = math.gcd(6, n)
+    classes = [0] * d  # F(g^j) over z = g^i: g^j + z^3 = g^(j + zech[3i - j])
+    for j in range(d):
+        for i in range(n):
+            s = zech[(3 * i - j) % n]
+            if s >= 0:
+                classes[j] += 1 - 2 * ((i + j + s) & 1)
     cube_roots = {}
-    for z in range(1, q):
-        cube_roots.setdefault(cube[z], []).append(z)
+    for i, z in enumerate(powers):
+        cube_roots.setdefault(powers[3 * i % n], []).append(z)
     # the line x = 0 and the row y = 0 of the chart lie on xyz = 0
     degenerate = [(0, 0, 1)] + [(0, 1, z) for z in range(q)] + [(1, 0, z) for z in range(q)]
     char_sum = 0
-    for y in range(1, q):
-        row = add[add[1][cube[y]]]  # 1 + y^3 + (.)
+    for i, y in enumerate(powers):
+        s = zech[3 * i % n]  # 1 + y^3 = g^s
         degenerate.append((1, y, 0))
-        degenerate += [(1, y, z) for z in cube_roots.get(neg[row[0]], ())]
-        char_sum += chi[y] * sum(map(operator.mul, chi,
-                                     map(chi.__getitem__, map(row.__getitem__, cube))))
+        if s < 0:
+            char_sum += chi[y] * n
+        else:
+            char_sum += chi[y] * classes[s % d]
+            degenerate += [(1, y, z) for z in cube_roots.get(powers[(s + n // 2) % n], ())]
     generic = q * q - (len(degenerate) - q - 1)  # chart points off c = 0
-    total = generic + chi[neg[1]] * char_sum
+    total = generic + chi[tables.neg(1)] * char_sum
     total += sum(_s_fiber_count(pt, tables) for pt in degenerate)
     return CountRecord("S", p, k, total, "fibered")
 

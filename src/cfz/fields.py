@@ -11,18 +11,19 @@ the lexicographically first one (see ``find_irreducible``), so that every
 count is reproducible across runs.  An element is only ever its integer
 encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients c_i of its
 residue class; since p >= 5, the small constants 0 to 4 encode as
-themselves.  One rule on encodings (``FiniteField.add``, ``neg``, ``mul``
-and ``pow``) does all arithmetic, and ``field_tables`` fills the
-counters' lookup tables (mul, add, neg, inv, chi) from it as Python
-lists on first use, from a generator of GF(q)* found by that rule.  The
-same rule, in the quotient ring GF(p)[x]/(f), also decides whether a
-modulus f is irreducible (``_is_irreducible``).  ``FiniteField(p, k)``
-and ``field_of_order(q)`` are the two ways to build a field.
+themselves.  One rule on encodings (``FiniteField.add``, ``neg``,
+``mul`` and ``pow``) does all arithmetic.  From it ``field_tables``
+builds, on first use, four lists of about q entries: the powers of a
+generator g of GF(q)*, their discrete logs, the Zech logs log(1 + g^i)
+and the quadratic character, on which mul, add, neg and inv are O(1)
+lookups; no table of q^2 entries is built.  The same rule, in the
+quotient ring GF(p)[x]/(f), also decides whether a modulus f is
+irreducible (``_is_irreducible``).  ``FiniteField(p, k)`` and
+``field_of_order(q)`` are the two ways to build a field.
 """
 
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -248,15 +249,38 @@ def field_of_order(q: int):
 
 
 class FieldTables(NamedTuple):
-    """The arithmetic of one field on encodings, as Python lists: mul and
-    add are q lists of q entries, neg and inv lists of q entries
-    (inv[0] = 0), and chi the quadratic character."""
+    """The arithmetic of one field on encodings, from lists of length q - 1
+    or q built from a generator g of GF(q)*: powers[i] = g^i, log its
+    inverse on the nonzero encodings, zech[i] = log(1 + g^i) (-1 where
+    1 + g^i = 0), and chi the quadratic character.  mul, add, neg and inv
+    are O(1) lookups in them."""
 
-    mul: list
-    add: list
-    neg: list
-    inv: list
+    powers: list
+    log: list
+    zech: list
     chi: list
+
+    def mul(self, a, b):
+        if not (a and b):
+            return 0
+        return self.powers[(self.log[a] + self.log[b]) % len(self.powers)]
+
+    def add(self, a, b):
+        """g^i + g^j = g^i (1 + g^(j - i))."""
+        if not (a and b):
+            return a or b
+        n, i = len(self.powers), self.log[a]
+        z = self.zech[(self.log[b] - i) % n]
+        return 0 if z < 0 else self.powers[(i + z) % n]
+
+    def neg(self, a):
+        """-1 = g^((q - 1)/2)."""
+        n = len(self.powers)
+        return a and self.powers[(self.log[a] + n // 2) % n]
+
+    def inv(self, a):
+        """a^(q - 2): the inverse of a != 0, and 0 for a = 0."""
+        return a and self.powers[-self.log[a] % len(self.powers)]
 
 
 def _generator(field):
@@ -270,44 +294,19 @@ def _generator(field):
 
 @lru_cache(maxsize=1)
 def field_tables(field) -> FieldTables:
-    """The table set of a field, filled on first use from the field's own
-    rule.  Every entry is an object of one shared list(range(q)), so a q x q
-    table costs one pointer per entry.  The cache holds the latest field
-    only and drops it before building the next, so a sweep over many
-    primes holds one q x q table set at a time.
-
-    mul, inv and chi come from the powers g^0, ..., g^(q-2) of a generator
-    g: g^i * g^j = g^(i+j), and chi is the parity of the discrete log.  add
-    is digitwise addition mod p: the row of a = a0 + p*a1 is the row of a1
-    on the higher digits, each block of p entries rotated by a0."""
-    field_tables.cache_clear()
-    q, p = field.order, field.p
-    elems = list(range(q))
+    """The table set of a field, filled on first use by q calls of each of
+    the field's own mul and add; the cache holds the latest field's set."""
+    q = field.order
     g = _generator(field)
     powers = [1]
     for _ in range(q - 2):
-        powers.append(elems[field.mul(powers[-1], g)])
+        powers.append(field.mul(powers[-1], g))
     log = [0] * q
     for i, e in enumerate(powers):
         log[e] = i
-    # for a = g^i, [0] + cycle[i:i + q - 1] holds a * 0 and then a * g^j at
-    # 1 + j; by_log reorders it by column encoding b, taking 1 + log[b]
-    by_log = itemgetter(0, *(1 + log[b] for b in range(1, q)))
-    cycle = powers + powers
-    mul = [[0] * q] + [list(by_log([0] + cycle[log[a]:log[a] + q - 1]))
-                       for a in range(1, q)]
-    add = [elems]
-    for a in range(1, q):
-        a0, row = a % p, []
-        for c in add[a // p][:q // p]:
-            lo = p * c
-            row += elems[lo + a0:lo + p]
-            row += elems[lo:lo + a0]
-        add.append(row)
-    neg = [elems[field.neg(e)] for e in elems]
-    inv = [0] + [powers[-log[a] % (q - 1)] for a in range(1, q)]
+    zech = [log[s] if (s := field.add(1, e)) else -1 for e in powers]
     chi = [0] + [1 - 2 * (log[a] & 1) for a in range(1, q)]
-    return FieldTables(mul, add, neg, inv, chi)
+    return FieldTables(powers, log, zech, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +319,10 @@ def quadratic_root_count(a: int, b: int, c: int, tables: FieldTables) -> int:
     Identically zero forms contribute the whole line, q + 1 points;
     otherwise the count is 1 + chi(b^2 - 4ac).
     """
-    mul, add, neg, _, chi = tables
     if not (a or b or c):
-        return len(chi) + 1
-    return 1 + chi[add[mul[b][b]][neg[mul[4][mul[a][c]]]]]
+        return len(tables.chi) + 1
+    mul = tables.mul
+    return 1 + tables.chi[tables.add(mul(b, b), tables.neg(mul(4, mul(a, c))))]
 
 
 # ---------------------------------------------------------------------------

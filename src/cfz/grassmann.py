@@ -9,9 +9,7 @@ largest projective linear subspace contained in the Pluecker image.
 
 Unlike the counting kernels, the linear algebra here runs over any prime
 field including GF(2) and GF(3); nothing in it needs odd characteristic.
-Its elimination is ``linalg.rref``/``nullspace`` on encodings, through
-the prime tables of ``_prime_tables`` (``fields.field_tables`` rejects
-characteristic 2 and 3 on purpose).
+Its elimination is ``linalg.rref``/``nullspace`` mod q.
 """
 
 from itertools import combinations, product
@@ -228,7 +226,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     points_map = grassmannian_points(k, n, q)
     points = sorted(points_map)
     arr = np.array(points, dtype=np.int64)
-    inv_table = np.array(_prime_tables(q)[3], dtype=np.int64)
+    inv_table = np.array([pow(a, -1, q) if a else 0 for a in range(q)], dtype=np.int64)
     pows = np.array([q ** t for t in range(m, -1, -1)], dtype=np.int64)
     lut = np.full(q ** (m + 1), -1, dtype=np.int64)
     lut[arr @ pows] = np.arange(npoints)
@@ -307,26 +305,17 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     return LemmaReport(k, n, q, best_dim, witness, families)
 
 
-def _prime_tables(q):
-    """mul, add, neg, inv of GF(q) for any prime q, GF(2) and GF(3) included,
-    as the list tables ``linalg.rref`` takes."""
-    r = range(q)
-    return ([[a * b % q for b in r] for a in r], [[(a + b) % q for b in r] for a in r],
-            [-a % q for a in r], [pow(a, q - 2, q) if a else 0 for a in r])
-
-
 def _classify_families(best, points_map, points, k, n, q):
     # a family is labelled by two dimensions only: the common subspace of
     # its members, (n + 1) - rank of their stacked annihilators, and the
     # span of their rows
-    tables = _prime_tables(q)
     counts = {}
     for pset in best:
         subspaces = [points_map[points[i]] for i in pset]
-        normals = [v for s in subspaces for v in nullspace(s, n + 1, tables)]
-        if n + 1 - len(rref(normals, tables)[1]) >= k:
+        normals = [v for s in subspaces for v in nullspace(s, n + 1, q)]
+        if n + 1 - len(rref(normals, q)[1]) >= k:
             label = "pencil-through-fixed-plane"
-        elif len(rref([r for s in subspaces for r in s], tables)[1]) <= k + 2:
+        elif len(rref([r for s in subspaces for r in s], q)[1]) <= k + 2:
             label = "inside-fixed-plane"
         else:
             label = "other"

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and over finite fields.
+"""Exact linear algebra over the integers and over prime fields.
 
 ``det``, ``rref`` and ``nullspace`` are the package's one exact linear
 algebra.  ``det`` is Bareiss fraction-free elimination, in which every
@@ -6,9 +6,8 @@ division is exact, so the entries stay integers and no Fraction is ever
 formed; a 2 x 2 matrix, such as a Pluecker coordinate of a line, is
 computed directly.  The Pluecker coordinates of ``grassmann`` and the
 invertibility check of ``fourfold.LinearMapP5`` both use it.  ``rref``
-and ``nullspace`` work on field encodings through list tables (mul, add,
-neg, inv, as ``fields.field_tables`` builds them) and serve the
-subspace dimensions of ``grassmann`` over GF(2) and GF(3).  The Jacobian
+and ``nullspace`` compute mod a prime p and serve the subspace
+dimensions of ``grassmann`` over GF(2) and GF(3).  The Jacobian
 minors of ``counting.smoothness_scan`` have polynomial entries and are
 expanded by cofactors there.
 """
@@ -43,15 +42,14 @@ def det(rows) -> int:
     return sign * m[0][0] if m else 1
 
 
-def rref(rows, tables):
-    """Reduced row echelon form of a matrix of field encodings.
+def rref(rows, p):
+    """Reduced row echelon form of an integer matrix mod a prime p.
 
-    Returns the nonzero reduced rows, each with a 1 at its pivot and 0
-    above and below it, and their pivot columns; the rank is the number of
-    pivots.  ``tables`` starts with the list tables mul, add, neg, inv.
+    Returns the nonzero reduced rows, entries in [0, p), each with a 1 at
+    its pivot and 0 above and below it, and their pivot columns; the rank
+    is the number of pivots.
     """
-    mul, add, neg, inv = tables[:4]
-    rows = [list(r) for r in rows]
+    rows = [[a % p for a in r] for r in rows]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -61,26 +59,25 @@ def rref(rows, tables):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        scale = mul[inv[rows[r][col]]]
-        top = rows[r] = [scale[a] for a in rows[r]]
+        scale = pow(rows[r][col], -1, p)
+        top = rows[r] = [a * scale % p for a in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[col]:
-                f = mul[neg[row[col]]]
-                rows[i] = [add[a][f[b]] for a, b in zip(row, top)]
+                f = row[col]
+                rows[i] = [(a - f * b) % p for a, b in zip(row, top)]
         pivots.append(col)
     return rows[:len(pivots)], pivots
 
 
-def nullspace(rows, width, tables):
-    """A basis of the vectors v of length ``width`` with row . v = 0 for
-    every row: width - rank vectors, one per non-pivot column."""
-    reduced, pivots = rref(rows, tables)
-    neg = tables[2]
+def nullspace(rows, width, p):
+    """A basis of the vectors v of length ``width`` with row . v = 0 mod p
+    for every row: width - rank vectors, one per non-pivot column."""
+    reduced, pivots = rref(rows, p)
     basis = []
     for free in sorted(set(range(width)) - set(pivots)):
         vec = [0] * width
         vec[free] = 1
         for row, piv in zip(reduced, pivots):
-            vec[piv] = neg[row[free]]
+            vec[piv] = -row[free] % p
         basis.append(vec)
     return basis

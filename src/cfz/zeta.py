@@ -210,7 +210,6 @@ def assemble_fourfold_factors(p: int, a_p: int, ns_fixed: int):
     """Local factors P0, P2, P4, P6, P8 of the fourfold at a good prime."""
     check_good_prime(p)
     m_plus, m_minus = _ns_split(ns_fixed)
-    fourfold_h4_decomposition(p, a_p, ns_fixed)  # validates
     p2 = p * p
     quad = [1]
     for _ in range(m_plus + 1):  # fixed algebraic classes plus the exceptional class

@@ -578,6 +578,16 @@ def test_hilbert_square_check_uses_the_orbit_oracle():
                                "orbit_count": 18630}
 
 
+def test_identities_suite_runs_the_orbit_oracle_at_5_and_7():
+    r = run_cli("verify", "--suite", "identities", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    (suite,) = json.loads(r.stdout)["suites"]
+    assert [c["name"] for c in suite["checks"]] == ["hilbert-square-5", "hilbert-square-7"]
+    assert suite["checks"][0]["detail"] == {"N1": 66, "N2": 1176, "count": 3096,
+                                            "frobenius_fixed": 66, "conjugate_pairs": 555,
+                                            "orbit_count": 3096}
+
+
 def test_hilbert_square_check_fails_on_a_wrong_point_set(monkeypatch):
     # a point set that is not closed under Frobenius, or whose fixed points
     # are not the rational points, fails the check whatever N2 it implies

@@ -1,8 +1,10 @@
 import json
+import operator
 import os
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cfz.cache import CountCache
@@ -154,18 +156,12 @@ def test_generic_oracle_memory_is_bounded_in_every_block_order(order, q, n):
     assert len(points) == n and peak - held - 8 * n / 2 ** 20 < TILE_PEAK_MIB
 
 
-def test_prime_sweep_keeps_one_table_set():
-    # mul and add hold one pointer per entry: 2 * 8 * q^2 bytes per table set
-    one_set = 2 * 8 * 1019 ** 2
-    tracemalloc.start()
-    try:
-        for p in (1009, 1013, 1019):
-            count_S_fibered(p, 1)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert one_set / 2 < held < 1.5 * one_set
-    assert peak < 1.5 * one_set
+def test_fibered_counter_memory_is_linear():
+    # four lists of about q entries and O(q) exact fibers: 2.0 MiB traced at
+    # p = 4001, where q x q list tables took 249 MiB
+    count_S_fibered(5)
+    record, peak, _ = _traced_mib(lambda: count_S_fibered(4001))
+    assert record.count == 16040010 and peak < 16
 
 
 def _fibers(q, pts):
@@ -176,6 +172,39 @@ def _fibers(q, pts):
 def _oracle(q):
     # the per-fiber count over the whole base, no character sum
     return _fibers(q, enumerate_projective(q, 2))
+
+
+def _list_table_count(p, k):
+    """The fibered count as it was summed over q x q list tables: the
+    character sum row by row, chi(y) sum_z chi(z) chi(1 + y^3 + z^3), and
+    the exact fibers on xyz(x^3 + y^3 + z^3) = 0 through cube roots."""
+    q = p ** k
+    field = field_of_order(q)
+    mul = counting._mul_array(field).tolist()
+    digits = np.arange(q)[:, None] // p ** np.arange(k) % p
+    add = ((digits[:, None] + digits[None]) % p @ p ** np.arange(k)).tolist()
+    neg = [row.index(0) for row in add]
+    chi = field_tables(field).chi
+    cube = [mul[mul[z][z]][z] for z in range(q)]
+    cube_roots = {}
+    for z in range(1, q):
+        cube_roots.setdefault(cube[z], []).append(z)
+    degenerate = [(0, 0, 1)] + [(0, 1, z) for z in range(q)] + [(1, 0, z) for z in range(q)]
+    char_sum = 0
+    for y in range(1, q):
+        row = add[add[1][cube[y]]]  # 1 + y^3 + (.)
+        degenerate.append((1, y, 0))
+        degenerate += [(1, y, z) for z in cube_roots.get(neg[row[0]], ())]
+        char_sum += chi[y] * sum(map(operator.mul, chi,
+                                     map(chi.__getitem__, map(row.__getitem__, cube))))
+    generic = q * q - (len(degenerate) - q - 1)
+    return generic + chi[neg[1]] * char_sum + _fibers(q, degenerate)
+
+
+@pytest.mark.parametrize("p, k", [(p, 1) for p in range(5, 400) if is_prime(p)]
+                         + [(p, 2) for p in range(5, 24) if is_prime(p)] + [(5, 3), (7, 3)])
+def test_classes_match_the_list_table_sum(p, k):
+    assert count_S_fibered(p, k).count == _list_table_count(p, k)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 100) if is_prime(p)])
@@ -194,7 +223,8 @@ def test_exact_fibers_are_the_zeros_of_the_discriminant(monkeypatch, p, k):
     # _s_fiber_count runs once on each base point with
     # xyz(x^3 + y^3 + z^3) = 0, and nowhere else
     q = p ** k
-    mul, add = field_tables(field_of_order(q))[:2]
+    tables = field_tables(field_of_order(q))
+    mul, add = tables.mul, tables.add
     calls = []
 
     def counted(pt, tables):
@@ -202,8 +232,8 @@ def test_exact_fibers_are_the_zeros_of_the_discriminant(monkeypatch, p, k):
         return _s_fiber_count(pt, tables)
 
     def c(x, y, z):
-        cubes = add[add[mul[mul[x][x]][x]][mul[mul[y][y]][y]]][mul[mul[z][z]][z]]
-        return mul[mul[mul[x][y]][z]][cubes]
+        cubes = add(add(mul(mul(x, x), x), mul(mul(y, y), y)), mul(mul(z, z), z))
+        return mul(mul(mul(x, y), z), cubes)
 
     monkeypatch.setattr(counting, "_s_fiber_count", counted)
     count_S_fibered(p, k)

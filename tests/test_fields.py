@@ -1,10 +1,9 @@
-import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from cfz import fields
+from cfz import counting, fields
 from cfz.fields import (FieldError, FiniteField, _is_irreducible,
                         enumerate_projective, field_of_order, field_tables,
                         find_irreducible, is_prime, projective_cardinality,
@@ -79,15 +78,24 @@ def _full_tables(field):
     q = field.order
     mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
     add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-    # the shared list tables the counters use must agree with the field's
-    # arithmetic on single encodings, and chi with Euler's criterion
-    shared = field_tables(field)
-    assert shared.mul == mul.tolist()
-    assert shared.add == add.tolist()
-    assert shared.neg == [field.neg(a) for a in range(q)]
-    assert shared.inv == [0] + [_inverse(field, a) for a in range(1, q)]
-    assert shared.chi == [_chi(field, a) for a in range(q)]
     return mul, add
+
+
+# the table set the counters use agrees with the field's arithmetic on
+# single encodings, and chi with Euler's criterion, at every pair
+@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125])
+def test_table_methods_follow_the_field_rule(q):
+    field = field_of_order(q)
+    tables = field_tables(field)
+    minus_one = field.neg(1)
+    assert tables.add(1, minus_one) == 0 and tables.zech[tables.log[minus_one]] == -1
+    for a in range(q):
+        assert tables.neg(a) == field.neg(a)
+        assert tables.inv(a) == (_inverse(field, a) if a else 0)
+        assert [tables.mul(a, b) for b in range(q)] == [field.mul(a, b) for b in range(q)]
+        assert [tables.add(a, b) for b in range(q)] == [field.add(a, b) for b in range(q)]
+    assert tables.chi == [_chi(field, a) for a in range(q)]
+    assert sorted(tables.powers) == list(range(1, q))
 
 
 # GF(121) and GF(125) search a generator in an extension and add on two and
@@ -96,6 +104,8 @@ def _full_tables(field):
 def test_field_axioms_exhaustive(q):
     field = field_of_order(q)
     mul, add = _full_tables(field)
+    # the generic oracle's table, from the powers and logs of the table set
+    assert np.array_equal(counting._mul_array(field), mul)
 
     # commutativity
     assert np.array_equal(mul, mul.T)
@@ -115,21 +125,6 @@ def test_field_axioms_exhaustive(q):
         assert field.add(a, field.neg(a)) == 0
         if a:
             assert field.mul(a, _inverse(field, a)) == 1
-
-
-def test_table_entries_share_int_objects():
-    # mul and add hold q^2 pointers each into one list(range(q)); an int
-    # object per entry would add 28 bytes to each of them
-    q = 499
-    field = field_of_order(q)
-    field_tables.cache_clear()
-    tracemalloc.start()
-    try:
-        field_tables(field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2 * 8 * q ** 2
 
 
 def test_prime_field_smoke():

@@ -30,3 +30,13 @@ def test_traced_names_resolve():
     assert not missing
     # the tracer times these by iterating them
     assert all(inspect.isgeneratorfunction(_resolve(m, a)) for m, a, _ in tracer.GENERATORS)
+
+
+def test_work_counts_read_the_leading_parameters():
+    # work_counts reads p and k of the fibered counter, and spec and p of
+    # the convolution counter, from their first positional arguments
+    def leading(attr, n):
+        return list(inspect.signature(_resolve("counting", attr)).parameters)[:n]
+
+    assert leading("count_S_fibered", 2) == ["p", "k"]
+    assert leading("count_pairsum_convolution", 2) == ["spec", "p"]

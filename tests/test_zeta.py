@@ -201,6 +201,15 @@ def test_assemble_rejects_inconsistent_ns():
         assemble_fourfold_factors(6, -13, 20)   # bad prime
 
 
+def test_assemble_rejects_an_ap_past_the_weil_bound():
+    # |a_p| <= 2p at weight 3, checked through the form's factor
+    assemble_fourfold_factors(7, 14, 20)
+    with pytest.raises(ValueError, match="weight-3 bound"):
+        assemble_fourfold_factors(7, 15, 20)
+    with pytest.raises(ValueError, match="inconsistent ns_fixed"):
+        assemble_fourfold_factors(7, 15, 21)
+
+
 def test_h4_decomposition_dimensions():
     dec = fourfold_h4_decomposition(7, -13, 20)
     assert sum(dim for _, dim, _ in dec.pieces) == 23
