@@ -26,10 +26,11 @@ cross-check each other:
   T*k*(p - 1)^2 < 2^23, else in float64 (refused past 2^52).  The first
   equation is tested on the whole tile, each later one only where the
   earlier ones vanish, about 1/q of the cells.  No array of a tile holds
-  more than about CHUNK_CELLS = 2^15 entries, so memory is bounded
-  whatever q, the block order and the budget: a traced peak of about
-  0.6 MiB for the builtin surface over GF(49), and under 0.9 MiB for a
-  hypersurface of bidegree (1,3) in P^1 x P^4 or P^4 x P^1 over GF(31).
+  more than about CHUNK_CELLS = 2^15 entries, so beyond the 8q^2 bytes
+  of the mul table memory is bounded whatever q, the block order and the
+  budget: a traced peak of about 0.6 MiB for the builtin surface over
+  GF(49), and under 0.9 MiB for a hypersurface of bidegree (1,3) in
+  P^1 x P^4 or P^4 x P^1 over GF(31).
   ``points_on_variety`` and ``smoothness_scan`` sort the flat grid indices
   of their points back into the order of the enumeration.
   A point is singular iff every r x r minor of the full Jacobian matrix
@@ -465,13 +466,16 @@ def _check_budget(spec, q, budget):
 
 
 def _mul_array(field):
-    """The mul table of field as a q x q array: g^i * g^j = g^(i + j)."""
+    """The mul table of field as a q x q array, built about CHUNK_CELLS
+    entries at a time so that it is the one q x q array held:
+    g^i * g^j = g^(i + j)."""
     import numpy as np
 
-    powers, log = field_tables(field)[:2]
-    exps = np.add.outer(log, log)
-    exps %= len(powers)
-    mul = np.array(powers)[exps]
+    powers, log = (np.array(t) for t in field_tables(field)[:2])
+    step = max(1, CHUNK_CELLS // len(log))
+    mul = np.empty((len(log), len(log)), dtype=np.int64)
+    for a in range(0, len(log), step):
+        mul[a:a + step] = powers[(log[a:a + step, None] + log) % len(powers)]
     mul[0] = mul[:, 0] = 0
     return mul
 

@@ -156,6 +156,15 @@ def test_generic_oracle_memory_is_bounded_in_every_block_order(order, q, n):
     assert len(points) == n and peak - held - 8 * n / 2 ** 20 < TILE_PEAK_MIB
 
 
+def test_mul_array_is_the_one_q_by_q_array():
+    # built CHUNK_CELLS entries at a time, the oracle's mul table peaks at
+    # its own 8 q^2 bytes and one chunk
+    field = field_of_order(1999)
+    field_tables(field)
+    _, peak, held = _traced_mib(lambda: counting._mul_array(field))
+    assert held >= 8 * 1999 ** 2 / 2 ** 20 and peak < held + 1
+
+
 def test_fibered_counter_memory_is_linear():
     # four lists of about q entries and O(q) exact fibers: 2.0 MiB traced at
     # p = 4001, where q x q list tables took 249 MiB
