@@ -168,7 +168,6 @@ def test_mul_array_is_the_one_q_by_q_array():
 def test_fibered_counter_memory_is_linear():
     # four lists of about q entries and O(q) exact fibers: 2.0 MiB traced at
     # p = 4001, where q x q list tables took 249 MiB
-    count_S_fibered(5)
     record, peak, _ = _traced_mib(lambda: count_S_fibered(4001))
     assert record.count == 16040010 and peak < 16
 
