@@ -20,17 +20,19 @@ cross-check each other:
   columns.  A GF(p^k) value is its k base-p digits and multiplication is
   GF(p)-bilinear, so on a tile digit l of an equation of T terms is a
   float matmul (L_l @ R) mod p: L_l holds digit l of each term's
-  coefficient and block-0 monomial times each basis element p^j, read
-  from the mul table, and R the digits of each term's monomial at the
-  tile's columns.  The sums are exact in float32 while
+  coefficient and block-0 monomial times each basis element p^j, and R
+  the digits of each term's monomial at the tile's columns; products of
+  encodings are taken elementwise from the powers and logs of the table
+  set, g^i * g^j = g^(i + j).  The sums are exact in float32 while
   T*k*(p - 1)^2 < 2^23, else in float64 (refused past 2^52).  The first
   equation is tested on the whole tile, each later one only where the
   earlier ones vanish, about 1/q of the cells.  No array of a tile holds
-  more than about CHUNK_CELLS = 2^15 entries, so beyond the 8q^2 bytes
-  of the mul table memory is bounded whatever q, the block order and the
-  budget: a traced peak of about 0.6 MiB for the builtin surface over
-  GF(49), and under 0.9 MiB for a hypersurface of bidegree (1,3) in
-  P^1 x P^4 or P^4 x P^1 over GF(31).
+  more than about CHUNK_CELLS = 2^15 entries, and those built once per
+  count from the table set hold at most k^2 q, so memory is bounded
+  whatever q, the block order and the budget: a traced peak of about
+  0.6 MiB for the builtin surface over GF(49), under 0.9 MiB for a
+  hypersurface of bidegree (1,3) in P^1 x P^4 or P^4 x P^1 over GF(31),
+  and about 1 MiB for a 21-term binary form over GF(1999).
   ``points_on_variety`` and ``smoothness_scan`` sort the flat grid indices
   of their points back into the order of the enumeration.
   A point is singular iff every r x r minor of the full Jacobian matrix
@@ -43,12 +45,11 @@ cross-check each other:
   in the second P^2, and the first equation restricts to a binary
   quadratic on that line, whose discriminant is -xyz(x^3 + y^3 + z^3) up
   to a nonzero square.  The counter sums the quadratic character of that
-  value over the base by its sixth-power classes in O(q), and counts the
-  O(q) fibers where it vanishes (on xyz = 0 or on the Fermat cubic curve)
-  one by one with ``_s_fiber_count``, which counts the zeros of the
-  restriction through ``fields.quadratic_root_count`` and so also sees the
-  fibers where it vanishes identically, a full line of q + 1 points.  One
-  loop serves GF(p^k) for every k.
+  value over the base by its sixth-power classes in O(q).  Where it
+  vanishes a fiber has 1 point, or a full line of q + 1 points at the
+  3 + 3 gcd(3, q - 1) base points where the quadratic vanishes
+  identically, so those fibers enter in closed form.  One loop serves
+  GF(p^k) for every k.
 
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
   sum of forms in disjoint variable groups of size at most two (the
@@ -73,7 +74,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .fields import (check_good_prime, field_of_order, field_tables,
-                     projective_cardinality, quadratic_root_count)
+                     projective_cardinality)
 from .polynomials import MultiHomPoly, Poly, parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
@@ -307,7 +308,7 @@ def _monomial_values(exps, coords, mul):
     mono = None
     for i, e in enumerate(exps):
         for _ in range(e):
-            mono = coords[:, i] if mono is None else mul[mono, coords[:, i]]
+            mono = coords[:, i] if mono is None else mul(mono, coords[:, i])
     return np.ones(len(coords), dtype=np.int64) if mono is None else mono
 
 
@@ -339,7 +340,7 @@ def _head_values(equation, head, mul):
     import numpy as np
 
     coeffs, exps0, _ = equation
-    return np.stack([mul[c, _monomial_values(e, head, mul)] for c, e in zip(coeffs, exps0)],
+    return np.stack([mul(c, _monomial_values(e, head, mul)) for c, e in zip(coeffs, exps0)],
                     axis=1)
 
 
@@ -399,7 +400,7 @@ def _zero_cells(spec, field, mul):
     # the float32 grid
     batch = max(step, CHUNK_CELLS // (4 * max(sum(terms), n0 + 1)))
     batch -= batch % step
-    basis = mul[:, p ** np.arange(k)]
+    basis = mul(np.arange(q)[:, None], p ** np.arange(k))
     times = [(basis // p ** l % p).astype(dtype) for l in range(k)]
     # the float values, their scratch copy, the zero mask and, for k > 1,
     # the mask of one digit
@@ -465,18 +466,22 @@ def _check_budget(spec, q, budget):
                    "primitive evaluations", budget)
 
 
-def _mul_array(field):
-    """The mul table of field as a q x q array, built about CHUNK_CELLS
-    entries at a time so that it is the one q x q array held:
-    g^i * g^j = g^(i + j)."""
+def _array_mul(field):
+    """The product of two int64 arrays of encodings of field, elementwise
+    and broadcast, from its powers and logs: g^i * g^j = g^(i + j).  Two
+    logs of nonzero encodings sum to at most 2q - 4, so the log of 0 is
+    taken as 2q - 3, which sends every product with a factor 0 past the
+    power cycle and its repeat, into zeros."""
     import numpy as np
 
     powers, log = (np.array(t) for t in field_tables(field)[:2])
-    step = max(1, CHUNK_CELLS // len(log))
-    mul = np.empty((len(log), len(log)), dtype=np.int64)
-    for a in range(0, len(log), step):
-        mul[a:a + step] = powers[(log[a:a + step, None] + log) % len(powers)]
-    mul[0] = mul[:, 0] = 0
+    n = len(powers)
+    log[0] = 2 * n - 1
+    powers = np.concatenate([powers, powers[:-1], np.zeros(2 * n, dtype=np.int64)])
+
+    def mul(a, b):
+        return powers[log[a] + log[b]]
+
     return mul
 
 
@@ -484,7 +489,7 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     """Exact point count by full enumeration of the product of canonical points."""
     field = field_of_order(q)
     _check_budget(spec, q, budget)
-    count = sum(len(cells) for cells in _zero_cells(spec, field, _mul_array(field)))
+    count = sum(len(cells) for cells in _zero_cells(spec, field, _array_mul(field)))
     return CountRecord(spec.name, field.char, field.degree, count, "generic")
 
 
@@ -501,7 +506,7 @@ def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
     _check_budget(spec, q, budget)
     if extra:
         spec = VarietySpec(spec.name, spec.blocks, spec.polys + list(extra))
-    cells = np.concatenate(list(_zero_cells(spec, field, _mul_array(field))))
+    cells = np.concatenate(list(_zero_cells(spec, field, _array_mul(field))))
     cells.sort()
     points, chunk = [], max(1, CHUNK_CELLS // (sum(spec.ambient) + len(spec.ambient)))
     for i in range(0, len(cells), chunk):
@@ -517,46 +522,25 @@ def points_on_variety(spec: VarietySpec, q: int, budget=None):
 # ---------------------------------------------------------------------------
 # fibered counter for the builtin surface S
 
-def _s_fiber_count(xyz, tables) -> int:
-    """Points of S above one base point [x:y:z]: zeros of the first equation
-    on the line cut by the second.  Encodings in, the field's table set."""
-    mul, add, neg, inv = tables.mul, tables.add, tables.neg, tables.inv
-    x, y, z = xyz
-    c0, c1, c2 = mul(x, x), mul(y, y), mul(z, z)
-    # two points spanning the line c0*u + c1*v + c2*w = 0
-    if c0:
-        s = inv(c0)
-        b1, b2 = (neg(mul(c1, s)), 1, 0), (neg(mul(c2, s)), 0, 1)
-    elif c1:
-        b1, b2 = (1, 0, 0), (0, neg(mul(c2, inv(c1))), 1)
-    else:
-        b1, b2 = (1, 0, 0), (0, 1, 0)
-
-    def form(u, v):  # polar form of x*u^2 + y*v^2 + z*w^2
-        return add(add(mul(x, mul(u[0], v[0])), mul(y, mul(u[1], v[1]))),
-                   mul(z, mul(u[2], v[2])))
-
-    # the restriction is qa*U^2 + 2*cross*UV + qc*V^2
-    return quadratic_root_count(form(b1, b1), mul(2, form(b1, b2)), form(b2, b2), tables)
-
-
 def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
     """Count S(GF(p^k)) fiberwise over the first P^2.
 
-    Up to a nonzero square, the discriminant of the fiber above [x:y:z] is
-    -xyz(x^3 + y^3 + z^3), so a fiber where c = xyz(x^3 + y^3 + z^3) is
-    nonzero has 1 + chi(-1) chi(c) points.  In the chart x = 1 the chi(c)
-    sum to sum_{y != 0} chi(y) F(1 + y^3), F(c) = sum_z chi(z) chi(c + z^3).
-    F(0) = q - 1 and F(l^6 c) = F(c) (put z = l^2 z'), so F(g^s) is summed
-    once for each class s mod gcd(6, q - 1), in logs.  The O(q) base
-    points with c = 0, on xyz = 0 or on the Fermat cubic curve, are
-    counted exactly by ``_s_fiber_count``.  The q^2 + q + 1 base points
-    are charged against the enumeration budget before the field tables
-    are built."""
+    The fiber above [x:y:z] is the conic x u^2 + y v^2 + z w^2 on the line
+    x^2 u + y^2 v + z^2 w = 0, a binary quadratic whose discriminant is
+    -c, c = xyz(x^3 + y^3 + z^3), up to a nonzero square.  So a fiber has
+    1 + chi(-1) chi(c) points, or q + 1 where the quadratic vanishes
+    identically.  That needs a singular conic, xyz = 0, and happens at the
+    3 coordinate points and at the 3 gcd(3, q - 1) points with one
+    coordinate 0 and the cubes of the other two summing to 0:
+    N = q^2 + q + 1 + chi(-1) sum chi(c) + 3q (1 + gcd(3, q - 1)).
+    In the chart x = 1 the chi(c) sum to sum_{y != 0} chi(y) F(1 + y^3),
+    F(c) = sum_z chi(z) chi(c + z^3).  F(0) = q - 1 and F(l^6 c) = F(c)
+    (put z = l^2 z'), so F(g^s) is summed once for each class s mod
+    gcd(6, q - 1), in logs.  The q^2 + q + 1 base points are charged
+    against the enumeration budget before the field tables are built."""
     q = p ** k
     _charge_budget(f"S over GF({q})", projective_cardinality(q, 2), "base points", budget)
-    tables = field_tables(field_of_order(q))
-    powers, _, zech, chi = tables
+    powers, _, zech, chi = field_tables(field_of_order(q))
     n = q - 1
     d = math.gcd(6, n)
     classes = [0] * d  # F(g^j) over z = g^i: g^j + z^3 = g^(j + zech[3i - j])
@@ -565,23 +549,12 @@ def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
             s = zech[(3 * i - j) % n]
             if s >= 0:
                 classes[j] += 1 - 2 * ((i + j + s) & 1)
-    cube_roots = {}
-    for i, z in enumerate(powers):
-        cube_roots.setdefault(powers[3 * i % n], []).append(z)
-    # the line x = 0 and the row y = 0 of the chart lie on xyz = 0
-    degenerate = [(0, 0, 1)] + [(0, 1, z) for z in range(q)] + [(1, 0, z) for z in range(q)]
     char_sum = 0
     for i, y in enumerate(powers):
         s = zech[3 * i % n]  # 1 + y^3 = g^s
-        degenerate.append((1, y, 0))
-        if s < 0:
-            char_sum += chi[y] * n
-        else:
-            char_sum += chi[y] * classes[s % d]
-            degenerate += [(1, y, z) for z in cube_roots.get(powers[(s + n // 2) % n], ())]
-    generic = q * q - (len(degenerate) - q - 1)  # chart points off c = 0
-    total = generic + chi[tables.neg(1)] * char_sum
-    total += sum(_s_fiber_count(pt, tables) for pt in degenerate)
+        char_sum += chi[y] * (n if s < 0 else classes[s % d])
+    chi_minus_one = 1 - 2 * (n // 2 & 1)  # -1 = g^(n/2)
+    total = q * q + q + 1 + chi_minus_one * char_sum + 3 * q * (1 + math.gcd(3, n))
     return CountRecord("S", p, k, total, "fibered")
 
 

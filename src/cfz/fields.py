@@ -318,7 +318,9 @@ def quadratic_root_count(a: int, b: int, c: int, tables: FieldTables) -> int:
 
     Identically zero forms contribute the whole line, q + 1 points;
     otherwise the count is 1 + chi(b^2 - 4ac).
-    """
+
+    No caller in the package: it stays only while the benchmark's tracer
+    names it (ROADMAP item 3)."""
     if not (a or b or c):
         return len(tables.chi) + 1
     mul = tables.mul

@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import os
 import tracemalloc
@@ -10,13 +11,13 @@ import pytest
 from cfz.cache import CountCache
 from cfz import counting
 from cfz.counting import (ConvolutionStructureError, CountBudgetError,
-                          VarietySpec, _s_fiber_count,
-                          builtin_variety, count_fermat_cubic,
+                          VarietySpec, builtin_variety, count_fermat_cubic,
                           count_pairsum_convolution, count_points_generic,
                           count_S_fibered, count_variety,
                           group_value_histogram, pairsum_groups,
                           points_on_variety, smoothness_scan)
-from cfz.fields import enumerate_projective, field_of_order, field_tables, is_prime
+from cfz.fields import (enumerate_projective, field_of_order, field_tables, is_prime,
+                        quadratic_root_count)
 
 S = builtin_variety("S")
 X = builtin_variety("X")
@@ -156,20 +157,43 @@ def test_generic_oracle_memory_is_bounded_in_every_block_order(order, q, n):
     assert len(points) == n and peak - held - 8 * n / 2 ** 20 < TILE_PEAK_MIB
 
 
-def test_mul_array_is_the_one_q_by_q_array():
-    # built CHUNK_CELLS entries at a time, the oracle's mul table peaks at
-    # its own 8 q^2 bytes and one chunk
-    field = field_of_order(1999)
-    field_tables(field)
-    _, peak, held = _traced_mib(lambda: counting._mul_array(field))
-    assert held >= 8 * 1999 ** 2 / 2 ** 20 and peak < held + 1
-
-
 def test_fibered_counter_memory_is_linear():
-    # four lists of about q entries and O(q) exact fibers: 2.0 MiB traced at
-    # p = 4001, where q x q list tables took 249 MiB
+    # four lists of about q entries: 0.4 MiB traced at p = 4001, where
+    # q x q list tables took 249 MiB
     record, peak, _ = _traced_mib(lambda: count_S_fibered(4001))
     assert record.count == 16040010 and peak < 16
+
+
+@pytest.mark.parametrize("p, n", [(20011, 400812864), (20021, 401000610)])
+def test_fibered_counts_at_large_primes(p, n):
+    # frozen from the counter that visited every fiber with c = 0 one by
+    # one; 20011 = 1 mod 3 splits, and 20021 = 2 mod 3 is inert, where
+    # N = 1 + p^2 + 8p
+    assert count_S_fibered(p).count == n
+    assert (n == 1 + p * p + 8 * p) == (p % 3 == 2)
+
+
+def _s_fiber_count(xyz, tables) -> int:
+    """Points of S above one base point [x:y:z]: zeros of the first equation
+    on the line cut by the second.  Encodings in, the field's table set."""
+    mul, add, neg, inv = tables.mul, tables.add, tables.neg, tables.inv
+    x, y, z = xyz
+    c0, c1, c2 = mul(x, x), mul(y, y), mul(z, z)
+    # two points spanning the line c0*u + c1*v + c2*w = 0
+    if c0:
+        s = inv(c0)
+        b1, b2 = (neg(mul(c1, s)), 1, 0), (neg(mul(c2, s)), 0, 1)
+    elif c1:
+        b1, b2 = (1, 0, 0), (0, neg(mul(c2, inv(c1))), 1)
+    else:
+        b1, b2 = (1, 0, 0), (0, 1, 0)
+
+    def form(u, v):  # polar form of x*u^2 + y*v^2 + z*w^2
+        return add(add(mul(x, mul(u[0], v[0])), mul(y, mul(u[1], v[1]))),
+                   mul(z, mul(u[2], v[2])))
+
+    # the restriction is qa*U^2 + 2*cross*UV + qc*V^2
+    return quadratic_root_count(form(b1, b1), mul(2, form(b1, b2)), form(b2, b2), tables)
 
 
 def _fibers(q, pts):
@@ -188,7 +212,10 @@ def _list_table_count(p, k):
     the exact fibers on xyz(x^3 + y^3 + z^3) = 0 through cube roots."""
     q = p ** k
     field = field_of_order(q)
-    mul = counting._mul_array(field).tolist()
+    powers, log = (np.array(t) for t in field_tables(field)[:2])
+    mul = powers[(log[:, None] + log) % (q - 1)]
+    mul[0] = mul[:, 0] = 0
+    mul = mul.tolist()
     digits = np.arange(q)[:, None] // p ** np.arange(k) % p
     add = ((digits[:, None] + digits[None]) % p @ p ** np.arange(k)).tolist()
     neg = [row.index(0) for row in add]
@@ -226,28 +253,34 @@ def test_character_sum_matches_fiber_oracle_over_gf_p2(p):
     assert count_S_fibered(p, 2).count == _oracle(p * p)
 
 
-@pytest.mark.parametrize("p, k", [(7, 1), (11, 1), (13, 1), (5, 2)])
-def test_exact_fibers_are_the_zeros_of_the_discriminant(monkeypatch, p, k):
-    # _s_fiber_count runs once on each base point with
-    # xyz(x^3 + y^3 + z^3) = 0, and nowhere else
+@pytest.mark.parametrize("p, k", [(7, 1), (11, 1), (13, 1), (5, 2), (7, 2)])
+def test_exact_fibers_are_the_zeros_of_the_discriminant(p, k):
+    # the fiber above a base point with c = xyz(x^3 + y^3 + z^3) != 0 has
+    # 1 + chi(-c) points; one with c = 0 has q + 1 points at the 3 coordinate
+    # points and at the 3 gcd(3, q - 1) points with one coordinate 0 and
+    # the cubes of the other two summing to 0, and 1 point everywhere else
     q = p ** k
     tables = field_tables(field_of_order(q))
-    mul, add = tables.mul, tables.add
-    calls = []
+    mul, add, neg = tables.mul, tables.add, tables.neg
 
-    def counted(pt, tables):
-        calls.append(pt)
-        return _s_fiber_count(pt, tables)
+    def cube(a):
+        return mul(mul(a, a), a)
 
-    def c(x, y, z):
-        cubes = add(add(mul(mul(x, x), x), mul(mul(y, y), y)), mul(mul(z, z), z))
-        return mul(mul(mul(x, y), z), cubes)
-
-    monkeypatch.setattr(counting, "_s_fiber_count", counted)
-    count_S_fibered(p, k)
-    zeros = [pt for pt in enumerate_projective(q, 2) if c(*pt) == 0]
-    assert sorted(calls) == sorted(zeros)
-    assert len(set(calls)) == len(calls)
+    whole_lines, predicted = [], []
+    for pt in enumerate_projective(q, 2):
+        x, y, z = pt
+        cubes = add(add(cube(x), cube(y)), cube(z))
+        if pt.count(0) == 2 or (pt.count(0) == 1 and cubes == 0):
+            predicted.append(pt)
+        c = mul(mul(mul(x, y), z), cubes)
+        n = _s_fiber_count(pt, tables)
+        if c:
+            assert n == 1 + tables.chi[neg(c)]
+        elif n != 1:
+            assert n == q + 1
+            whole_lines.append(pt)
+    assert len(predicted) == 3 + 3 * math.gcd(3, q - 1)
+    assert whole_lines == predicted
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -11,6 +11,7 @@ enumerates.
 """
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import accumulate, product
 
@@ -136,7 +137,7 @@ def test_later_product_split_across_tiles(monkeypatch, q, spans):
     assert seen == spans * 2
     field = field_of_order(q)
     cells = np.concatenate(list(counting._zero_cells(WIDE_LATER, field,
-                                                     counting._mul_array(field))))
+                                                     counting._array_mul(field))))
     assert len(cells) == len(want) and (np.diff(cells) < 0).any()
 
 
@@ -150,11 +151,10 @@ def test_many_terms_over_gf_125_in_float32():
     assert count_points_generic(spec, q).count == len(_reference_points(spec, q))
 
 
-def test_large_prime_in_float64():
-    # z * (a - 2b)(a - 3b)...(a - 21b) on P^0 x P^1 at p = 1999: 21 terms
-    # whose coefficients meet monomial values up to 1998 on the second
-    # block, so a dot product reaches past 2^24, where float32 would round
-    # it, and T * (p - 1)^2 >= 2^23 selects float64
+def _binary_form_1999():
+    """z * (a - 2b)(a - 3b)...(a - 21b) on P^0 x P^1 at p = 1999: 21 terms
+    whose coefficients meet monomial values up to 1998 on the second
+    block, and its 20 roots."""
     p, roots = 1999, range(2, 22)
     coeffs = [1]
     for r in roots:
@@ -162,12 +162,35 @@ def test_large_prime_in_float64():
     poly = "+".join(f"{c}*z*a^{20 - i}*b^{i}" for i, c in enumerate(coeffs))
     spec = VarietySpec.from_dict({"name": "binary-form", "ambient": [0, 1],
                                   "vars": [["z"], ["a", "b"]], "polys": [poly]})
+    return spec, roots
+
+
+def test_large_prime_in_float64():
+    # a dot product reaches past 2^24, where float32 would round it, and
+    # T * (p - 1)^2 >= 2^23 selects float64
+    p = 1999
+    spec, roots = _binary_form_1999()
     assert len(spec.polys[0].poly.terms) == 21
     assert counting._exact_dtype(p, 21) is np.float64
     want = _reference_points(spec, p)
     assert sorted(want) == sorted((1, 1, pow(r, -1, p)) for r in roots)
     assert count_points_generic(spec, p).count == len(roots)
     assert points_on_variety(spec, p) == want
+
+
+def test_large_prime_holds_no_q_by_q_array():
+    # products come from the powers and logs of the table set, so the
+    # count peaks near 1.0 MiB traced, where a q x q product table alone
+    # would take 8 q^2 bytes, 30 MiB
+    spec, roots = _binary_form_1999()
+    assert count_points_generic(spec, 1999).count == len(roots)  # tables built untraced
+    tracemalloc.start()
+    try:
+        assert count_points_generic(spec, 1999).count == len(roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 NODAL = VarietySpec.from_dict({"name": "nodal", "ambient": [2], "vars": [["x", "y", "z"]],
