@@ -70,8 +70,6 @@ def _emit_json(obj):
 def cmd_count(args):
     if args.ext < 1:
         raise UsageError(f"--ext must be at least 1, got {args.ext}")
-    if args.method == "convolution" and args.ext != 1:
-        raise UsageError("the convolution counter only covers prime fields (--ext 1)")
     spec = _load_variety(args.variety)
     cache = None if args.no_cache else CountCache(args.cache)
     rows = []
@@ -167,6 +165,10 @@ def cmd_identify(args):
 def cmd_zeta(args):
     p = args.prime
     check_good_prime(p)
+    if args.ns_fixed is None and p % 3 != 1:
+        raise UsageError(
+            f"p = {p} is 2 mod 3: the algebraic eigenvalue pattern is not "
+            "determined by counts; pass --ns-fixed explicitly")
     cache = None if args.no_cache else CountCache(args.cache)
     spec = builtin_variety("S")
     n1 = count_variety(spec, p, cache=cache).count
@@ -174,13 +176,8 @@ def cmd_zeta(args):
     ap = ap_base(p)
     if args.ns_fixed is not None:
         ns_fixed = args.ns_fixed
-    elif p % 3 == 1:
-        t_alg = algebraic_trace_split(tr.t2, ap, p)
-        ns_fixed = t_alg // p
     else:
-        raise UsageError(
-            f"p = {p} is 2 mod 3: the algebraic eigenvalue pattern is not "
-            "determined by counts; pass --ns-fixed explicitly")
+        ns_fixed = algebraic_trace_split(tr.t2, ap, p) // p
     factors = assemble_fourfold_factors(p, ap, ns_fixed)
     reconstructed = reconstruct_count(factors)
     direct = count_pairsum_convolution(builtin_variety("X"), p).count

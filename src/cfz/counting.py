@@ -53,13 +53,11 @@ cross-check each other:
 
 * ``count_pairsum_convolution`` handles hypersurfaces whose equation is a
   sum of forms in disjoint variable groups of size at most two (the
-  builtin fourfolds X and the Fermat cubic): it builds one value
-  histogram per group over the affine field, a row at a time over the
-  group's last variable from power lists, convolves additively, and
-  converts the affine cone count to a projective count.
+  builtin fourfolds X and the Fermat cubic) over any GF(q): it convolves
+  the groups' value histograms class by class, in O(q) per group.
 
 All counts are exact integers; the affine-to-projective step divides
-(N_affine - 1) by (p - 1) and verifies exactness.
+(N_affine - 1) by (q - 1) and verifies exactness.
 
 numpy is imported inside the generic oracle's kernels only, so a count
 served from the cache, by the fibered counter or by the convolution
@@ -70,11 +68,11 @@ import json
 import math
 import os
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
-from .fields import (check_good_prime, field_of_order, field_tables,
-                     projective_cardinality)
+from .fields import (check_good_prime, enumerate_projective, field_of_order,
+                     field_tables, projective_cardinality)
 from .polynomials import MultiHomPoly, Poly, parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
@@ -600,67 +598,63 @@ def pairsum_groups(spec: VarietySpec):
     return mh, out
 
 
-def group_value_histogram(terms, var_idx, p: int):
+def group_value_histogram(terms, var_idx, q: int):
     """H[v] = number of affine assignments of the group variables with value v.
 
-    For each assignment of the other variables, the values over the
-    group's last variable y form one row: sum_j C_j y^j mod p, where C_j
-    gathers the terms with y^j, read from power lists built once."""
-    *outer, last = var_idx
-    powers = {}
-
-    def power_list(e):
-        if e not in powers:
-            powers[e] = [pow(x, e, p) for x in range(p)]
-        return powers[e]
-
-    hist = [0] * p
-    for assign in product(range(p), repeat=len(outer)):
-        coeffs = {}
+    On the line through a projective point where the form of degree d is
+    w, it takes the values l^d w, l != 0: q - 1 times 0 if w = 0, else
+    e = gcd(d, q - 1) times each value of w's class modulo e-th powers.
+    So the form is evaluated once per point of P^(|group| - 1)(GF(q))."""
+    field = field_of_order(q)
+    tables = field_tables(field)
+    e = math.gcd(sum(terms[0][0][i] for i in var_idx), q - 1)
+    zeros, classes = 1, [0] * e  # the origin is 0
+    for point in enumerate_projective(q, len(var_idx) - 1):
+        w = 0
         for exps, c in terms:
-            for x, i in zip(assign, outer):
-                c *= power_list(exps[i])[x]
-            coeffs[exps[last]] = coeffs.get(exps[last], 0) + c
-        row = [0] * p
-        for e, c in coeffs.items():
-            c %= p
-            if c:
-                row = [r + c * y for r, y in zip(row, power_list(e))]
-        for v in row:
-            hist[v % p] += 1
+            t = c % field.char
+            for x, i in zip(point, var_idx):
+                for _ in range(exps[i]):
+                    t = tables.mul(t, x)
+            w = tables.add(w, t)
+        if w:
+            classes[tables.log[w] % e] += e
+        else:
+            zeros += q - 1
+    hist = [classes[i % e] for i in tables.log]
+    hist[0] = zeros
     return hist
 
 
-def _convolve_mod(a, b, p):
-    out = [0] * p
-    for s in range(p):
-        acc = 0
-        for v in range(p):
-            acc += a[v] * b[(s - v) % p]
-        out[s] = acc
-    return out
-
-
-def count_pairsum_convolution(spec: VarietySpec, p: int, budget=None) -> CountRecord:
-    """O(p^2) count of a pair-sum hypersurface via histogram convolution.
-
-    The p^|group| assignments the histograms visit are charged against
-    the enumeration budget before any histogram is built."""
+def count_pairsum_convolution(spec: VarietySpec, p: int, k: int = 1,
+                              budget=None) -> CountRecord:
+    """Count a pair-sum hypersurface over GF(q), q = p^k, by convolving
+    the value histograms of its groups.  Each, and so each convolution, is
+    constant on the classes of GF(q)* modulo e-th powers,
+    e = gcd(degree, q - 1), so a convolution is summed at 0 and at
+    g^0, ..., g^(e - 1) only.  The q^|group| assignments the histograms
+    cover are charged against the budget before the tables are built."""
     check_good_prime(p)
+    q = p ** k
     mh, groups = pairsum_groups(spec)
-    _charge_budget(f"{spec.name} over GF({p})", sum(p ** len(v) for v, _ in groups),
+    _charge_budget(f"{spec.name} over GF({q})", sum(q ** len(v) for v, _ in groups),
                    "group assignments", budget)
-    used = {i for var_idx, _ in groups for i in var_idx}
-    free = len(spec.blocks[0]) - len(used)
-    result = None
-    for var_idx, terms in groups:
-        hist = group_value_histogram(terms, var_idx, p)
-        result = hist if result is None else _convolve_mod(result, hist, p)
-    n_affine = result[0] * p ** free
-    if (n_affine - 1) % (p - 1) != 0:
+    tables = field_tables(field_of_order(q))
+    e = math.gcd(mh.multidegree[0], q - 1)
+    negated = [tables.neg(v) for v in range(q)]
+    (var_idx, terms), *rest = groups
+    result = group_value_histogram(terms, var_idx, q)
+    for var_idx, terms in rest:
+        hist = group_value_histogram(terms, var_idx, q)
+        sums = [sum(a * hist[tables.add(s, m)] for a, m in zip(result, negated))
+                for s in [0] + tables.powers[:e]]
+        result = [sums[1 + i % e] for i in tables.log]
+        result[0] = sums[0]
+    n_affine = result[0] * q ** (len(spec.blocks[0]) - sum(len(v) for v, _ in groups))
+    if (n_affine - 1) % (q - 1) != 0:
         raise ConvolutionStructureError(
-            f"affine count {n_affine} is not 1 mod (p - 1); input not homogeneous")
-    return CountRecord(spec.name, p, 1, (n_affine - 1) // (p - 1), "convolution")
+            f"affine count {n_affine} is not 1 mod (q - 1); input not homogeneous")
+    return CountRecord(spec.name, p, k, (n_affine - 1) // (q - 1), "convolution")
 
 
 def count_fermat_cubic(p: int) -> CountRecord:
@@ -722,9 +716,9 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                   budget=None, cache=None) -> CountRecord:
     """Count with method dispatch and optional cache.
 
-    method ``auto`` picks the structured counter for the builtins (fibered
-    for S at every k, convolution for the k=1 fourfolds) and the generic
-    oracle otherwise.  A cache hit is served only under ``auto`` or when
+    method ``auto`` picks the fibered counter for S, the convolution
+    counter for every pair-sum hypersurface, and the generic oracle
+    otherwise, at every k.  A cache hit is served only under ``auto`` or when
     its method is the one asked for, only if its count fits in the ambient
     space, and for a builtin only if it satisfies the Weil bound; otherwise
     the count is recomputed.  A count is appended only when the cache holds
@@ -744,22 +738,18 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     if method == "auto":
         if is_s:
             method = "fibered"
-        elif k == 1:
+        else:
             try:
                 pairsum_groups(spec)
                 method = "convolution"
             except ConvolutionStructureError:
                 method = "generic"
-        else:
-            method = "generic"
     if method == "fibered":
         if not is_s:
             raise ValueError("fibered counter is specific to the builtin surface S")
         rec = count_S_fibered(p, k, budget)
     elif method == "convolution":
-        if k != 1:
-            raise ValueError("convolution counter only covers prime fields")
-        rec = count_pairsum_convolution(spec, p, budget)
+        rec = count_pairsum_convolution(spec, p, k, budget)
     elif method == "generic":
         rec = count_points_generic(spec, p ** k, budget=budget)
     else:

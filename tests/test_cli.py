@@ -30,12 +30,19 @@ def test_count_surface_over_gf_125():
     assert json.loads(r.stdout) == {"p": 5, "k": 3, "count": 16626}
 
 
-@pytest.mark.parametrize("args", [["--ext", "0"], ["--ext", "-1"],
-                                  ["--ext", "2", "--method", "convolution"]])
+@pytest.mark.parametrize("args", [["--ext", "0"], ["--ext", "-1"]])
 def test_count_rejects_bad_extension(args):
     r = run_cli("count", "--variety", "builtin:X", "--primes", "7", "--no-cache", *args)
     assert r.returncode == 2
     assert r.stdout == ""
+
+
+def test_count_convolution_over_gf_25():
+    # the generic count of X over GF(25)
+    r = run_cli("count", "--variety", "builtin:X", "--primes", "5", "--ext", "2",
+                "--method", "convolution", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 5, "k": 2, "count": 420651}
 
 
 def test_count_fermat():
@@ -219,6 +226,18 @@ def test_zeta_inert_requires_explicit_ns():
     assert json.loads(r.stdout)["match"] is True
     r = run_cli("zeta", "--prime", "5", "--ns-fixed", "4", "--no-cache")
     assert r.returncode == 1  # consistent input shape, wrong eigenvalue pattern
+
+
+def test_zeta_inert_refuses_before_it_counts(tmp_path):
+    # the refusal comes before S is counted, so nothing reaches the cache
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("")
+    r = run_cli("zeta", "--prime", "5", "--cache", str(cache))
+    assert r.returncode == 2
+    assert r.stderr.strip().endswith(
+        "p = 5 is 2 mod 3: the algebraic eigenvalue pattern is not "
+        "determined by counts; pass --ns-fixed explicitly")
+    assert r.stdout == "" and cache.read_text() == ""
 
 
 def test_lattice_command():
@@ -470,6 +489,7 @@ def test_numpy_loads_only_for_numpy_kernels(tmp_path):
              "count --variety builtin:S --primes 7", "zeta --prime 7",
              "trace-table --primes 5..13 --no-cache",
              "count --variety builtin:S --ext 2 --primes 5 --no-cache",
+             "count --variety builtin:X --ext 2 --primes 5 --no-cache",
              "count --variety builtin:S --primes 7 --method generic --no-cache"]
     r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *lines], capture_output=True,
                        text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})

@@ -22,6 +22,19 @@ from cfz.fields import (enumerate_projective, field_of_order, field_tables, is_p
 S = builtin_variety("S")
 X = builtin_variety("X")
 FERMAT = builtin_variety("fermat")
+# groups whose terms mix powers of both variables, constants in the last
+# one, and coefficients that vanish mod p
+MIXED = VarietySpec.from_dict(
+    {"name": "mixed", "ambient": [4], "vars": [["a", "b", "c", "d", "e"]],
+     "polys": ["3*a^3+a^2*b-7*b^3+14*a*b^2+c^2*d+5*c^3-d^3+e^3"]})
+# a cone over a plane conic inside P^3: one variable never appears
+CONE = VarietySpec.from_dict(
+    {"name": "cone", "ambient": [3], "vars": [["a", "b", "c", "d"]],
+     "polys": ["a^2-b*c"]})
+# degree 4, so e = gcd(4, q - 1) = 4 at q = 1 mod 4
+QUARTIC = VarietySpec.from_dict(
+    {"name": "quartic", "ambient": [3], "vars": [["a", "b", "c", "d"]],
+     "polys": ["a^4+2*a*b^3-b^4+3*c^2*d^2+d^4"]})
 
 # golden counts of the surface, cross-checked below against the generic oracle
 S_COUNTS = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
@@ -346,17 +359,125 @@ def test_row_histograms_match_the_pow_loop(spec, p):
 
 
 def test_row_histograms_of_mixed_groups_match_the_pow_loop():
-    # groups whose terms mix powers of both variables, constants in the
-    # last one, and coefficients that vanish mod p
-    spec = VarietySpec.from_dict(
-        {"name": "mixed", "ambient": [4], "vars": [["a", "b", "c", "d", "e"]],
-         "polys": ["3*a^3+a^2*b-7*b^3+14*a*b^2+c^2*d+5*c^3-d^3+e^3"]})
-    _, groups = pairsum_groups(spec)
+    _, groups = pairsum_groups(MIXED)
     assert sorted(len(v) for v, _ in groups) == [1, 2, 2]
     for p in (5, 7, 13):
         for var_idx, terms in groups:
             assert group_value_histogram(terms, var_idx, p) == \
                 _pow_loop_histogram(terms, var_idx, p)
+
+
+def _row_histogram(terms, var_idx, p):
+    """Reference: the value histogram of a group mod p, a row at a time over
+    the group's last variable, from power lists built once."""
+    *outer, last = var_idx
+    powers = {}
+
+    def power_list(e):
+        if e not in powers:
+            powers[e] = [pow(x, e, p) for x in range(p)]
+        return powers[e]
+
+    hist = [0] * p
+    for assign in product(range(p), repeat=len(outer)):
+        coeffs = {}
+        for exps, c in terms:
+            for x, i in zip(assign, outer):
+                c *= power_list(exps[i])[x]
+            coeffs[exps[last]] = coeffs.get(exps[last], 0) + c
+        row = [0] * p
+        for e, c in coeffs.items():
+            c %= p
+            if c:
+                row = [r + c * y for r, y in zip(row, power_list(e))]
+        for v in row:
+            hist[v % p] += 1
+    return hist
+
+
+def _convolve_mod(a, b, p):
+    out = [0] * p
+    for s in range(p):
+        acc = 0
+        for v in range(p):
+            acc += a[v] * b[(s - v) % p]
+        out[s] = acc
+    return out
+
+
+def _row_reference_count(spec, p):
+    """Reference: #spec(GF(p)) by the O(p^2) convolution of the row
+    histograms, mod p."""
+    _, groups = pairsum_groups(spec)
+    result = None
+    for var_idx, terms in groups:
+        hist = _row_histogram(terms, var_idx, p)
+        result = hist if result is None else _convolve_mod(result, hist, p)
+    free = len(spec.blocks[0]) - sum(len(v) for v, _ in groups)
+    return (result[0] * p ** free - 1) // (p - 1)
+
+
+def _table_histogram(terms, var_idx, q):
+    """Reference: the value histogram of a group over GF(q), the form
+    evaluated from the field tables at every affine assignment, each
+    power x^e read as g^(e log x)."""
+    field = field_of_order(q)
+    tables = field_tables(field)
+    powers, log = tables.powers, tables.log
+
+    def power(x, e):
+        return powers[e * log[x] % (q - 1)] if x else int(e == 0)
+
+    hist = [0] * q
+    for assign in product(range(q), repeat=len(var_idx)):
+        value = 0
+        for exps, c in terms:
+            t = c % field.char
+            for x, i in zip(assign, var_idx):
+                t = tables.mul(t, power(x, exps[i]))
+            value = tables.add(value, t)
+        hist[value] += 1
+    return hist
+
+
+@pytest.mark.parametrize("spec", [X, FERMAT, MIXED, CONE], ids=lambda s: s.name)
+def test_convolution_equals_the_row_reference(spec):
+    for p in range(5, 201):
+        if is_prime(p):
+            assert count_pairsum_convolution(spec, p).count == _row_reference_count(spec, p), p
+
+
+@pytest.mark.parametrize("spec, q", [(X, 25), (FERMAT, 25), (MIXED, 25), (CONE, 25),
+                                     (QUARTIC, 25), (MIXED, 49), (CONE, 49), (QUARTIC, 49)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_convolution_equals_generic_over_extensions(spec, q, request):
+    field = field_of_order(q)
+    got = count_pairsum_convolution(spec, field.char, field.degree)
+    assert (got.p, got.k) == (field.char, field.degree)
+    expected = (request.getfixturevalue("x_over_25_count") if spec is X
+                else count_points_generic(spec, q).count)
+    assert got.count == expected
+
+
+@pytest.mark.parametrize("q", [25, 49, 125])
+@pytest.mark.parametrize("spec", [X, FERMAT, MIXED, QUARTIC], ids=lambda s: s.name)
+def test_histograms_over_extensions_match_table_evaluation(spec, q):
+    for var_idx, terms in pairsum_groups(spec)[1]:
+        assert group_value_histogram(terms, var_idx, q) == _table_histogram(terms, var_idx, q)
+
+
+@pytest.mark.parametrize("p, k", [(7, 2), (11, 2), (5, 3)])
+def test_fourfold_identity_over_extensions(p, k):
+    q = p ** k
+    assert (count_pairsum_convolution(X, p, k).count
+            == 1 + q ** 2 + q ** 4 + q * count_S_fibered(p, k).count)
+
+
+@pytest.mark.parametrize("p, count", [(1009, 1037537376480), (4001, 256320288104013)])
+def test_fourfold_counts_at_large_primes(p, count):
+    # both equal 1 + p^2 + p^4 + p #S(GF(p)) with the fibered #S
+    assert count_pairsum_convolution(X, p).count == count
+    assert count == 1 + p ** 2 + p ** 4 + p * count_S_fibered(p).count
 
 
 def test_single_pair_histogram_total():
@@ -447,12 +568,16 @@ def test_fibered_counter_is_charged_its_base_points(monkeypatch):
 
 
 def test_convolution_counter_is_charged_its_group_assignments(monkeypatch):
-    # X has three pair groups: 3 * 7^2 = 147 assignments over GF(7)
-    assert count_pairsum_convolution(X, 7, 147) == count_pairsum_convolution(X, 7)
-    monkeypatch.setattr(counting, "group_value_histogram",
-                        lambda *args: pytest.fail("histogram built"))
-    with pytest.raises(CountBudgetError, match="147 group assignments exceed budget 146"):
-        count_pairsum_convolution(X, 7, 146)
+    # X has three pair groups: 3 * 7^2 = 147 assignments over GF(7), and
+    # 3 * 49^2 = 7203 over GF(49); refused before any field table exists
+    assert count_pairsum_convolution(X, 7, budget=147) == count_pairsum_convolution(X, 7)
+    assert count_pairsum_convolution(X, 7, 2, budget=7203) == count_pairsum_convolution(X, 7, 2)
+    monkeypatch.setattr(counting, "field_tables", lambda field: pytest.fail("table built"))
+    with pytest.raises(CountBudgetError,
+                       match=r"^X over GF\(7\): 147 group assignments exceed budget 146$"):
+        count_pairsum_convolution(X, 7, budget=146)
+    with pytest.raises(CountBudgetError, match="7203 group assignments exceed budget 7202"):
+        count_pairsum_convolution(X, 7, 2, budget=7202)
     monkeypatch.setenv("CFZ_BUDGET", "146")
     with pytest.raises(CountBudgetError):
         count_variety(X, 7)
@@ -488,13 +613,9 @@ def test_convolution_structure_errors():
 
 
 def test_convolution_with_inactive_variable():
-    # cone over a plane conic inside P^3: one variable never appears
-    spec = VarietySpec.from_dict(
-        {"name": "cone", "ambient": [3], "vars": [["a", "b", "c", "d"]],
-         "polys": ["a^2-b*c"]})
     for p in (5, 7):
-        assert (count_pairsum_convolution(spec, p).count
-                == count_points_generic(spec, p).count)
+        assert (count_pairsum_convolution(CONE, p).count
+                == count_points_generic(CONE, p).count)
 
 
 def test_bad_characteristic_rejected():
@@ -553,12 +674,13 @@ def test_count_variety_dispatch_and_cache(tmp_path):
     lines = (tmp_path / "c.jsonl").read_text().strip().splitlines()
     assert len(lines) == 1
     assert count_variety(X, 7).method == "convolution"
-    with pytest.raises(CountBudgetError):
-        count_variety(X, 7, k=2)  # P^5 over GF(49) is past the default budget
-    cone = VarietySpec.from_dict(
-        {"name": "cone", "ambient": [3], "vars": [["a", "b", "c", "d"]],
-         "polys": ["a^2-b*c"]})
-    assert count_variety(cone, 5, k=2).method == "generic"
+    # pair-sum varieties take the convolution counter at every k
+    rec = count_variety(X, 7, k=2)
+    assert rec.method == "convolution" and (rec.p, rec.k) == (7, 2)
+    assert rec.count == 1 + 49 ** 2 + 49 ** 4 + 49 * count_S_fibered(7, 2).count
+    rec = count_variety(CONE, 5, k=2)
+    assert rec.method == "convolution"
+    assert rec.count == count_points_generic(CONE, 25).count
     assert count_variety(S, 7, method="generic").count == 177
     with pytest.raises(ValueError):
         count_variety(X, 7, method="fibered")
