@@ -10,6 +10,7 @@ mathematics rules out), 2 usage or parse error.
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import grassmann, lattice
 from .cache import CountCache
@@ -334,11 +335,10 @@ def _suite_pluecker(_primes):
     checks.append(("pluecker-relation-counts", (n13, n14) == (1, 5),
                    {"gr_1_3": n13, "gr_1_4": n14}))
     ok = True
+    rels = grassmann.pluecker_relations(1, 3)
     for q in (2, 3):
         pts = set(grassmann.grassmannian_points(1, 3, q))
-        rels = grassmann.pluecker_relations(1, 3)
-        from itertools import product as iproduct
-        for coords in iproduct(range(q), repeat=6):
+        for coords in product(range(q), repeat=6):
             if not any(coords):
                 continue
             sat = all(grassmann.evaluate_relation(rel, coords, q) == 0 for rel in rels)

@@ -37,8 +37,9 @@ cross-check each other:
   of their points back into the order of the enumeration.
   A point is singular iff every r x r minor of the full Jacobian matrix
   of the r nonzero equations vanishes there (Euler's relation gives the
-  local Jacobian the same rank), so ``smoothness_scan`` adds those minors
-  to the equations and is one more zero set.
+  local Jacobian the same rank), so ``smoothness_scan`` adds those minors,
+  each a ``linalg.det`` of polynomials, to the equations and is one more
+  zero set.
 
 * ``count_S_fibered`` exploits the structure of the builtin K3 surface S:
   for each point [x:y:z] of the first P^2 the second equation cuts a line
@@ -59,9 +60,9 @@ cross-check each other:
 All counts are exact integers; the affine-to-projective step divides
 (N_affine - 1) by (q - 1) and verifies exactness.
 
-numpy is imported inside the generic oracle's kernels only, so a count
-served from the cache, by the fibered counter or by the convolution
-counter never loads it.
+numpy is imported inside the generic oracle's kernels only, and nowhere
+else in the package, so a count served from the cache, by the fibered
+counter or by the convolution counter never loads it.
 """
 
 import json
@@ -73,6 +74,7 @@ from typing import NamedTuple
 
 from .fields import (check_good_prime, enumerate_projective, field_of_order,
                      field_tables, projective_cardinality)
+from .linalg import det
 from .polynomials import MultiHomPoly, Poly, parse_poly
 from .zeta import FOURFOLD_B4, K3_B2
 
@@ -665,28 +667,17 @@ def count_fermat_cubic(p: int) -> CountRecord:
 # ---------------------------------------------------------------------------
 # partial smoothness evidence
 
-def _cofactor_det(rows, nvars):
-    """Determinant of a square matrix of Polys in nvars variables, by
-    cofactor expansion along the first row; 1 for the empty matrix."""
-    if len(rows) < 2:
-        return rows[0][0] if rows else Poly.constant(nvars, 1)
-    total = Poly.zero(nvars)
-    for j, a in enumerate(rows[0]):
-        if not a.is_zero:
-            term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], nvars)
-            total = total - term if j % 2 else total + term
-    return total
-
-
 def _jacobian_minors(spec: VarietySpec):
     """The r x r minors of the Jacobian matrix of spec's r nonzero
     equations that are not identically zero, each multihomogeneous."""
-    polys = [mh.poly for mh in spec.polys if not mh.poly.is_zero]
+    polys = [mh.poly for mh in spec.polys if mh.poly]
     nvars = sum(len(b) for b in spec.blocks)
+    if not polys:
+        return [MultiHomPoly(spec.blocks, Poly.constant(nvars, 1))]
     partials = [[f.derivative(c) for c in range(nvars)] for f in polys]
-    minors = (_cofactor_det([[row[c] for c in cols] for row in partials], nvars)
+    minors = (det([[row[c] for c in cols] for row in partials])
               for cols in combinations(range(nvars), len(polys)))
-    return [MultiHomPoly(spec.blocks, m) for m in minors if not m.is_zero]
+    return [MultiHomPoly(spec.blocks, m) for m in minors if m]
 
 
 def smoothness_scan(spec: VarietySpec, q: int, budget=None):

@@ -9,13 +9,15 @@ largest projective linear subspace contained in the Pluecker image.
 
 Unlike the counting kernels, the linear algebra here runs over any prime
 field including GF(2) and GF(3); nothing in it needs odd characteristic.
-Its elimination is ``linalg.rref``/``nullspace`` mod q.
+Its Pluecker coordinates are minors from ``linalg.det``, its elimination
+is ``linalg.rref``/``nullspace`` mod q, and it needs no numpy.
 """
 
+import math
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .fields import is_prime
+from .fields import is_prime, projective_cardinality
 from .linalg import det, nullspace, rref
 
 
@@ -160,7 +162,8 @@ def grassmannian_points(k: int, n: int, p: int):
 
 
 def canonical_coords(coords, p):
-    lead = next(c for c in coords if c)
+    """coords mod p, scaled so that the first entry nonzero mod p is 1."""
+    lead = next(c for c in coords if c % p)
     inv = pow(lead, p - 2, p)
     return tuple((c * inv) % p for c in coords)
 
@@ -210,32 +213,27 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     the pencil of k-planes through a fixed (k-1)-plane; both facts are
     asserted.  The boundary case 2k = n - 1 (e.g. lines in P^3) is
     permitted and reports its maximal families without the assertion.
-    """
-    import numpy as np
 
+    Two points are adjacent iff the q - 1 other points of the line in
+    P^m through them are points of the locus, each looked up by its
+    ``canonical_coords`` in a dict from point to index.  The search
+    refuses (``SearchBudgetError``) past 5000 points, or when q^(m+1)
+    exceeds 2 * 10^6; that second bound guards no allocation and only
+    fixes which inputs are refused.
+    """
     if not (0 < k < n):
         raise ValueError("need 0 < k < n")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     npoints = gaussian_binomial(n + 1, k + 1, q)
-    m = len(subset_index(k, n)[0]) - 1
+    m = math.comb(n + 1, k + 1) - 1
     if npoints > 5000 or q ** (m + 1) > 2_000_000:
         raise SearchBudgetError(
             f"Gr({k},{n})(GF({q})) has {npoints} points in P^{m}; beyond the search budget")
 
     points_map = grassmannian_points(k, n, q)
     points = sorted(points_map)
-    arr = np.array(points, dtype=np.int64)
-    inv_table = np.array([pow(a, -1, q) if a else 0 for a in range(q)], dtype=np.int64)
-    pows = np.array([q ** t for t in range(m, -1, -1)], dtype=np.int64)
-    lut = np.full(q ** (m + 1), -1, dtype=np.int64)
-    lut[arr @ pows] = np.arange(npoints)
-
-    def canon_rows(rows):
-        rows = rows % q
-        first = (rows != 0).argmax(axis=1)
-        lead = rows[np.arange(len(rows)), first]
-        return (rows * inv_table[lead][:, None]) % q
+    index = {pt: i for i, pt in enumerate(points)}
 
     # adjacency among point 0 and its neighbours (every point of a subspace
     # through point 0 is one) and, for each adjacent pair, their line
@@ -243,20 +241,21 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     line_pts = {}
 
     def join(i, later):
-        ok = np.ones(len(later), dtype=bool)
-        lam_idx = []
-        for lam in range(1, q):
-            idxs = lut[canon_rows(arr[i] + lam * arr[later]) @ pows]
-            lam_idx.append(idxs)
-            ok &= idxs >= 0
-        for off in np.nonzero(ok)[0]:
-            j = later[off]
-            neighbors[i].add(j)
-            neighbors.setdefault(j, set()).add(i)
-            line = frozenset({i, j} | {int(l[off]) for l in lam_idx})
-            line_pts[(i, j)] = line_pts[(j, i)] = line
+        a = points[i]
+        for j in later:
+            b = points[j]
+            line = {i, j}
+            for lam in range(1, q):
+                pt = index.get(canonical_coords([x + lam * y for x, y in zip(a, b)], q))
+                if pt is None:
+                    break
+                line.add(pt)
+            else:
+                neighbors[i].add(j)
+                neighbors.setdefault(j, set()).add(i)
+                line_pts[(i, j)] = line_pts[(j, i)] = frozenset(line)
 
-    join(0, list(range(1, npoints)))
+    join(0, range(1, npoints))
     near = sorted(neighbors[0])
     for a, i in enumerate(near):
         join(i, near[a + 1:])
@@ -290,7 +289,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
         best_dim += 1
         best = level
 
-    size = (q ** (best_dim + 1) - 1) // (q - 1)
+    size = projective_cardinality(q, best_dim)
     families = []
     for label, through0 in _classify_families(best, points_map, points, k, n, q):
         total, rest = divmod(npoints * through0, size)

@@ -1,45 +1,37 @@
-"""Exact linear algebra over the integers and over prime fields.
+"""Exact linear algebra over the integers, polynomials and prime fields.
 
 ``det``, ``rref`` and ``nullspace`` are the package's one exact linear
-algebra.  ``det`` is Bareiss fraction-free elimination, in which every
-division is exact, so the entries stay integers and no Fraction is ever
-formed; a 2 x 2 matrix, such as a Pluecker coordinate of a line, is
-computed directly.  The Pluecker coordinates of ``grassmann`` and the
-invertibility check of ``fourfold.LinearMapP5`` both use it.  ``rref``
-and ``nullspace`` compute mod a prime p and serve the subspace
-dimensions of ``grassmann`` over GF(2) and GF(3).  The Jacobian
-minors of ``counting.smoothness_scan`` have polynomial entries and are
-expanded by cofactors there.
+algebra.  ``det`` expands along the first row over any commutative ring
+the package uses, Python ints or ``polynomials.Poly``, with no division;
+a 2 x 2 matrix, such as a Pluecker coordinate of a line, is computed
+directly.  The Pluecker coordinates of ``grassmann``, the invertibility
+check of ``fourfold.LinearMapP5`` and the Jacobian minors of
+``counting.smoothness_scan`` all use it.  ``rref`` and ``nullspace``
+compute mod a prime p and serve the subspace dimensions of
+``grassmann`` over GF(2) and GF(3).
 """
 
 
-def det(rows) -> int:
-    """Determinant of a square integer matrix (a sequence of rows)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    for r in m:
+def det(rows):
+    """Determinant of a square matrix (a sequence of rows) over a
+    commutative ring, by cofactor expansion along the first row, skipping
+    its zero entries.  The empty matrix gives the integer 1, and a zero
+    first row the integer 0."""
+    n = len(rows)
+    for r in rows:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
     if n == 2:
-        (a, b), (c, d) = m
+        (a, b), (c, d) = rows
         return a * d - b * c
-    sign, prev = 1, 1
-    while n > 1:
-        if not m[0][0]:
-            piv = next((i for i in range(1, n) if m[i][0]), None)
-            if piv is None:
-                return 0
-            m[0], m[piv] = m[piv], m[0]
-            sign = -sign
-        top = m[0]
-        lead = top[0]
-        # Bareiss step on the trailing submatrix: each new entry is a minor
-        # of the input, so the division by the previous pivot is exact
-        m = [[(lead * a - r[0] * b) // prev for a, b in zip(r[1:], top[1:])]
-             for r in m[1:]]
-        prev = lead
-        n -= 1
-    return sign * m[0][0] if m else 1
+    if n < 2:
+        return rows[0][0] if rows else 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + (-a if j % 2 else a) * minor
+    return total
 
 
 def rref(rows, p):

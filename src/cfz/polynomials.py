@@ -62,6 +62,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.nvars != self.nvars:

@@ -479,8 +479,8 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_numpy_kernels(tmp_path):
-    # lookups, the lattice, the fibered and convolution counters run without
-    # numpy; the generic oracle needs it
+    # lookups, the lattice, the fibered and convolution counters and the
+    # Grassmannian search run without numpy; the generic oracle needs it
     from cfz.counting import builtin_variety
     cache = tmp_path / "c.jsonl"
     cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
@@ -490,6 +490,7 @@ def test_numpy_loads_only_for_numpy_kernels(tmp_path):
              "trace-table --primes 5..13 --no-cache",
              "count --variety builtin:S --ext 2 --primes 5 --no-cache",
              "count --variety builtin:X --ext 2 --primes 5 --no-cache",
+             "pluecker --k 1 --n 3 --q 2", "verify --suite pluecker",
              "count --variety builtin:S --primes 7 --method generic --no-cache"]
     r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *lines], capture_output=True,
                        text=True, env={**BASE_ENV, "CFZ_CACHE": str(cache)})

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -74,6 +75,19 @@ def test_two_sided_decomposability_exhaustive(k, n, q):
             continue
         sat = all(evaluate_relation(rel, coords, q) == 0 for rel in rels)
         assert sat == (canonical_coords(coords, q) in pts)
+
+
+def test_canonical_coords_takes_the_first_entry_nonzero_mod_p():
+    assert canonical_coords([3, 1, 2], 3) == (0, 1, 2)
+    assert canonical_coords([6, -2, 8], 3) == (0, 1, 2)
+    assert canonical_coords([4, 0, 9], 2) == (0, 0, 1)
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        for _ in range(200):
+            v = [rng.randint(-3 * p, 3 * p) for _ in range(4)]
+            if all(c % p == 0 for c in v):
+                continue
+            assert canonical_coords(v, p) == canonical_coords([c % p for c in v], p)
 
 
 def test_grassmannian_point_counts():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cfz.linalg import det, nullspace, rref
+from cfz.polynomials import Poly
 
 
 def laplace_det(m):
@@ -76,6 +77,30 @@ def test_det_known_values_and_shape_check():
     assert det([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         det([[1, 2, 3], [4, 5, 6]])
+
+
+def _random_poly(rng, nvars):
+    """A sparse Poly: zero a third of the time, else up to three terms."""
+    if rng.random() < 1 / 3:
+        return Poly.zero(nvars)
+    return sum((Poly.monomial(nvars, [rng.randint(0, 2) for _ in range(nvars)],
+                              rng.choice((1, -1, 2, -5)))
+                for _ in range(rng.randint(1, 3))), Poly.zero(nvars))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_det_over_polys_commutes_with_evaluation(n):
+    # evaluation at an integer point is a ring map Z[x] -> Z, so it carries
+    # det over polynomials to det over the integers
+    rng = random.Random(300 + n)
+    nvars = 3
+    for _ in range(60):
+        m = [[_random_poly(rng, nvars) for _ in range(n)] for _ in range(n)]
+        d = det(m)
+        for _ in range(3):
+            pt = [rng.randint(-4, 4) for _ in range(nvars)]
+            value = d.evaluate(pt) if isinstance(d, Poly) else d
+            assert value == det([[e.evaluate(pt) for e in r] for r in m])
 
 
 def _span_size(rows, p):

@@ -63,6 +63,14 @@ def test_poly_ring_operations():
     assert (p - p).is_zero
 
 
+def test_poly_is_false_exactly_when_zero():
+    for n in range(4):
+        assert not Poly.zero(n)
+        assert Poly.constant(n, -3)
+    x = Poly.variable(2, 0)
+    assert x and not x - x and x * x - x
+
+
 def test_poly_substitute_and_evaluate():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
