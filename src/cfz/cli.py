@@ -14,8 +14,8 @@ from itertools import product
 
 from . import grassmann, lattice
 from .cache import CountCache
-from .cmforms import (ap_base, ap_via_eisenstein, identify_form,
-                      fermat_comparison)
+from .cmforms import (CountMismatchError, ap_base, ap_via_eisenstein,
+                      identify_form, fermat_comparison)
 from .counting import (CountBudgetError, VarietySpec,
                        builtin_variety, count_variety, count_S_fibered,
                        count_pairsum_convolution, count_fermat_cubic,
@@ -313,7 +313,7 @@ def _suite_forms(primes):
     for p in [q for q in primes if q % 3 == 1]:
         try:
             checks.append((f"fermat-comparison-p{p}", fermat_comparison(p), {}))
-        except Exception as e:  # mismatch surfaces both counts
+        except CountMismatchError as e:  # surfaces both counts
             checks.append((f"fermat-comparison-p{p}", False, {"error": str(e)}))
     return checks
 
@@ -415,7 +415,7 @@ def build_parser():
     sp.add_argument("--method", default="auto",
                     choices=("auto",) + COUNT_METHODS)
     sp.add_argument("--budget", type=int, default=None,
-                    help="enumeration budget (default CFZ_BUDGET or 1e9)")
+                    help="generic oracle's evaluation budget (default 1e9)")
     add_common(sp)
     add_format(sp)
     sp.set_defaults(func=cmd_count)

@@ -2,7 +2,7 @@
 
 Every function here takes and returns integer encodings of field
 elements and does its arithmetic through the one table set of
-``fields.field_tables`` (O(1) mul, add, neg, inv and chi on lists of
+``fields.field_tables`` (O(1) mul, add, neg and chi on lists of
 about q entries); ``points_on_variety``
 and ``smoothness_scan`` return one flat tuple of encodings per point, the
 coordinates of all blocks in the spec's variable order.  Three counters
@@ -58,7 +58,9 @@ cross-check each other:
   the groups' value histograms class by class, in O(q) per group.
 
 All counts are exact integers; the affine-to-projective step divides
-(N_affine - 1) by (q - 1) and verifies exactness.
+(N_affine - 1) by (q - 1) and verifies exactness.  Each counter's field
+comes from ``fields.field_of_order``, whose cap on q bounds its tables,
+and the budget bounds the generic oracle's evaluations alone.
 
 numpy is imported inside the generic oracle's kernels only, and nowhere
 else in the package, so a count served from the cache, by the fibered
@@ -67,7 +69,6 @@ counter or by the convolution counter never loads it.
 
 import json
 import math
-import os
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -93,20 +94,6 @@ class CountBudgetError(RuntimeError):
 
 class ConvolutionStructureError(ValueError):
     """Equation is not a sum of forms in disjoint variable groups of size <= 2."""
-
-
-def enumeration_budget(budget=None) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get("CFZ_BUDGET", DEFAULT_BUDGET))
-
-
-def _charge_budget(what, cost, unit, budget):
-    """Raise CountBudgetError before a counter does cost units of work
-    past the enumeration budget."""
-    limit = enumeration_budget(budget)
-    if cost > limit:
-        raise CountBudgetError(f"{what}: {cost} {unit} exceed budget {limit}")
 
 
 class CountRecord(NamedTuple):
@@ -461,9 +448,13 @@ def _ambient_points(spec, q) -> int:
 
 
 def _check_budget(spec, q, budget):
-    nterms = sum(len(mh.poly.terms) for mh in spec.polys)
-    _charge_budget(f"{spec.name} over GF({q})", _ambient_points(spec, q) * max(1, nterms),
-                   "primitive evaluations", budget)
+    """Raise CountBudgetError before the generic oracle evaluates more
+    terms at ambient points than the budget (default 10^9) allows."""
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
+    cost = _ambient_points(spec, q) * max(1, sum(len(mh.poly.terms) for mh in spec.polys))
+    if cost > limit:
+        raise CountBudgetError(
+            f"{spec.name} over GF({q}): {cost} primitive evaluations exceed budget {limit}")
 
 
 def _array_mul(field):
@@ -522,7 +513,7 @@ def points_on_variety(spec: VarietySpec, q: int, budget=None):
 # ---------------------------------------------------------------------------
 # fibered counter for the builtin surface S
 
-def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
+def count_S_fibered(p: int, k: int = 1) -> CountRecord:
     """Count S(GF(p^k)) fiberwise over the first P^2.
 
     The fiber above [x:y:z] is the conic x u^2 + y v^2 + z w^2 on the line
@@ -536,10 +527,8 @@ def count_S_fibered(p: int, k: int = 1, budget=None) -> CountRecord:
     In the chart x = 1 the chi(c) sum to sum_{y != 0} chi(y) F(1 + y^3),
     F(c) = sum_z chi(z) chi(c + z^3).  F(0) = q - 1 and F(l^6 c) = F(c)
     (put z = l^2 z'), so F(g^s) is summed once for each class s mod
-    gcd(6, q - 1), in logs.  The q^2 + q + 1 base points are charged
-    against the enumeration budget before the field tables are built."""
+    gcd(6, q - 1), in logs."""
     q = p ** k
-    _charge_budget(f"S over GF({q})", projective_cardinality(q, 2), "base points", budget)
     powers, _, zech, chi = field_tables(field_of_order(q))
     n = q - 1
     d = math.gcd(6, n)
@@ -628,19 +617,15 @@ def group_value_histogram(terms, var_idx, q: int):
     return hist
 
 
-def count_pairsum_convolution(spec: VarietySpec, p: int, k: int = 1,
-                              budget=None) -> CountRecord:
+def count_pairsum_convolution(spec: VarietySpec, p: int, k: int = 1) -> CountRecord:
     """Count a pair-sum hypersurface over GF(q), q = p^k, by convolving
     the value histograms of its groups.  Each, and so each convolution, is
     constant on the classes of GF(q)* modulo e-th powers,
     e = gcd(degree, q - 1), so a convolution is summed at 0 and at
-    g^0, ..., g^(e - 1) only.  The q^|group| assignments the histograms
-    cover are charged against the budget before the tables are built."""
+    g^0, ..., g^(e - 1) only."""
     check_good_prime(p)
     q = p ** k
     mh, groups = pairsum_groups(spec)
-    _charge_budget(f"{spec.name} over GF({q})", sum(q ** len(v) for v, _ in groups),
-                   "group assignments", budget)
     tables = field_tables(field_of_order(q))
     e = math.gcd(mh.multidegree[0], q - 1)
     negated = [tables.neg(v) for v in range(q)]
@@ -738,9 +723,9 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     if method == "fibered":
         if not is_s:
             raise ValueError("fibered counter is specific to the builtin surface S")
-        rec = count_S_fibered(p, k, budget)
+        rec = count_S_fibered(p, k)
     elif method == "convolution":
-        rec = count_pairsum_convolution(spec, p, k, budget)
+        rec = count_pairsum_convolution(spec, p, k)
     elif method == "generic":
         rec = count_points_generic(spec, p ** k, budget=budget)
     else:

@@ -15,16 +15,21 @@ themselves.  One rule on encodings (``FiniteField.add``, ``neg``,
 ``mul`` and ``pow``) does all arithmetic.  From it ``field_tables``
 builds, on first use, four lists of about q entries: the powers of a
 generator g of GF(q)*, their discrete logs, the Zech logs log(1 + g^i)
-and the quadratic character, on which mul, add, neg and inv are O(1)
+and the quadratic character, on which mul, add and neg are O(1)
 lookups; no table of q^2 entries is built.  The same rule, in the
 quotient ring GF(p)[x]/(f), also decides whether a modulus f is
 irreducible (``_is_irreducible``).  ``FiniteField(p, k)`` and
-``field_of_order(q)`` are the two ways to build a field.
+``field_of_order(q)`` are the two ways to build a field, and every
+table in the package is built on a field from ``field_of_order``.
 """
 
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
+
+# the largest order field_of_order builds: field_tables holds about 100
+# bytes per element, so about 100 MiB at this order
+MAX_FIELD_ORDER = 1 << 20
 
 
 class FieldError(ValueError):
@@ -236,7 +241,11 @@ def field_of_order(q: int):
     """The field with q = p^k elements (p >= 5; default modulus for k >= 2).
 
     Built once per q and process: for k >= 2 the build scans for the
-    modulus, and a field is immutable, so every caller can share it."""
+    modulus, and a field is immutable, so every caller can share it.
+    q > MAX_FIELD_ORDER is refused before q is factored."""
+    if q > MAX_FIELD_ORDER:
+        raise FieldError(f"field order {q} exceeds the cap 2^20 = {MAX_FIELD_ORDER} "
+                         "on the field tables")
     if q < 5:
         raise FieldError(f"field order {q} not supported (char 2 and 3 excluded)")
     primes = _prime_divisors(q)
@@ -252,8 +261,8 @@ class FieldTables(NamedTuple):
     """The arithmetic of one field on encodings, from lists of length q - 1
     or q built from a generator g of GF(q)*: powers[i] = g^i, log its
     inverse on the nonzero encodings, zech[i] = log(1 + g^i) (-1 where
-    1 + g^i = 0), and chi the quadratic character.  mul, add, neg and inv
-    are O(1) lookups in them."""
+    1 + g^i = 0), and chi the quadratic character.  mul, add and neg are
+    O(1) lookups in them."""
 
     powers: list
     log: list
@@ -277,10 +286,6 @@ class FieldTables(NamedTuple):
         """-1 = g^((q - 1)/2)."""
         n = len(self.powers)
         return a and self.powers[(self.log[a] + n // 2) % n]
-
-    def inv(self, a):
-        """a^(q - 2): the inverse of a != 0, and 0 for a = 0."""
-        return a and self.powers[-self.log[a] % len(self.powers)]
 
 
 def _generator(field):

@@ -217,9 +217,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
     Two points are adjacent iff the q - 1 other points of the line in
     P^m through them are points of the locus, each looked up by its
     ``canonical_coords`` in a dict from point to index.  The search
-    refuses (``SearchBudgetError``) past 5000 points, or when q^(m+1)
-    exceeds 2 * 10^6; that second bound guards no allocation and only
-    fixes which inputs are refused.
+    refuses (``SearchBudgetError``) past 5000 points.
     """
     if not (0 < k < n):
         raise ValueError("need 0 < k < n")
@@ -227,7 +225,7 @@ def max_linear_subspace_dim(k: int, n: int, q: int) -> LemmaReport:
         raise ValueError(f"{q} is not prime")
     npoints = gaussian_binomial(n + 1, k + 1, q)
     m = math.comb(n + 1, k + 1) - 1
-    if npoints > 5000 or q ** (m + 1) > 2_000_000:
+    if npoints > 5000:
         raise SearchBudgetError(
             f"Gr({k},{n})(GF({q})) has {npoints} points in P^{m}; beyond the search budget")
 

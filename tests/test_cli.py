@@ -5,14 +5,13 @@ import sys
 
 import pytest
 
-BASE_ENV = {k: v for k, v in os.environ.items() if k not in ("CFZ_CACHE", "CFZ_BUDGET")}
+BASE_ENV = {k: v for k, v in os.environ.items() if k != "CFZ_CACHE"}
+CAP_MESSAGE = "exceeds the cap 2^20 = 1048576 on the field tables"
 
 
-def run_cli(*args, cache=None, budget=None):
+def run_cli(*args, cache=None):
     env = dict(BASE_ENV)
     env["CFZ_CACHE"] = str(cache) if cache else os.devnull
-    if budget:
-        env["CFZ_BUDGET"] = str(budget)
     return subprocess.run([sys.executable, "-m", "cfz", *args],
                           capture_output=True, text=True, env=env)
 
@@ -84,20 +83,54 @@ def test_count_budget_exceeded(tmp_path):
 
 
 def test_count_fibered_budget_exceeded():
-    # 11^2 + 11 + 1 = 133 base points; refused before the field tables exist
+    # the budget charges the generic oracle alone: the fibered counter
+    # counts S over GF(11), 133 base points, under a budget of 100
     r = run_cli("count", "--variety", "builtin:S", "--primes", "11", "--budget", "100",
                 "--no-cache")
-    assert r.returncode == 2
-    assert "133 base points exceed budget 100" in r.stderr
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 11, "k": 1, "count": 1 + 11 * 11 + 8 * 11}
 
 
 def test_count_convolution_budget_exceeded():
-    # 3 * 1009^2 group assignments over GF(1009); refused before any histogram
+    # nor the convolution counter, whose histograms cover 3 * 1009^2
+    # group assignments
     r = run_cli("count", "--variety", "builtin:X", "--primes", "1009", "--budget", "10",
                 "--no-cache")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 1009, "k": 1, "count": 1037537376480}
+
+
+def _fourfold_from_surface(n, q):
+    return 1 + q ** 2 + q ** 4 + q * n
+
+
+def test_structured_counts_at_large_q():
+    # #S(GF(20011)) = 400812864, pinned in test_counting
+    r = run_cli("count", "--variety", "builtin:X", "--primes", "20011", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["count"] == _fourfold_from_surface(400812864, 20011)
+    # X over GF(137^2) against S through the fourfold identity
+    rows = {}
+    for name in ("S", "X"):
+        r = run_cli("count", "--variety", f"builtin:{name}", "--ext", "2", "--primes", "137",
+                    "--no-cache")
+        assert r.returncode == 0, r.stderr
+        rows[name] = json.loads(r.stdout)
+    assert rows["X"]["k"] == 2
+    assert rows["X"]["count"] == _fourfold_from_surface(rows["S"]["count"], 137 ** 2)
+    r = run_cli("trace-table", "--primes", "40009", "--no-cache")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["match"] is True
+
+
+@pytest.mark.parametrize("args", [("builtin:S", "--ext", "10", "--primes", "5"),
+                                  ("builtin:X", "--primes", "1048583")])
+def test_count_past_the_field_order_cap_is_refused(args):
+    variety, *rest = args
+    r = run_cli("count", "--variety", variety, *rest, "--no-cache")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert "3054243 group assignments exceed budget 10" in r.stderr
+    assert CAP_MESSAGE in r.stderr
 
 
 def test_count_convolution_within_default_budget():
@@ -287,6 +320,24 @@ def test_pluecker_command():
     out = json.loads(r.stdout)
     assert out["max_dim"] == 3
     assert out["families"] == [{"count": 31, "type": "pencil-through-fixed-plane"}]
+
+
+def test_pluecker_searches_lines_in_p6():
+    # Gr(1, 6)(GF(2)) is 2667 points in P^20; 2k < n - 1, so the answer is
+    # n - k, attained by the pencils of lines through a point
+    r = run_cli("pluecker", "--k", "1", "--n", "6", "--q", "2")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["max_dim"] == 5
+    assert out["families"] == [{"count": 127, "type": "pencil-through-fixed-plane"}]
+
+
+def test_pluecker_refuses_past_5000_points():
+    r = run_cli("pluecker", "--k", "2", "--n", "5", "--q", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: Gr(2,5)(GF(3)) has 33880 points in P^19; "
+                        "beyond the search budget\n")
 
 
 def test_verify_suites_pass():
@@ -647,3 +698,31 @@ def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
              "ap_base": cmforms.ap_base(p)} for p in split]
     want = [d for d in want if d["ap_via_eisenstein"] != d["ap_base"]]
     assert want and detail == {"disagree": want}
+
+
+def test_forms_suite_reports_a_count_mismatch(monkeypatch, capsys):
+    # the Fermat and pair-sum counts disagreeing is the mathematics
+    # disagreeing: a failed check with both counts, and exit 1
+    from cfz import cli, cmforms
+    real = cmforms.count_fermat_cubic
+    monkeypatch.setattr(cmforms, "count_fermat_cubic",
+                        lambda p: real(p)._replace(count=real(p).count + 1))
+    code = cli.main(["verify", "--suite", "forms", "--primes", "7", "--no-cache"])
+    assert code == 1
+    checks = {c["name"]: c for s in json.loads(capsys.readouterr().out)["suites"]
+              for c in s["checks"]}
+    assert checks["fermat-comparison-p7"]["passed"] is False
+    assert checks["fermat-comparison-p7"]["detail"] == {
+        "error": "p = 7: Fermat count 3691 != pair-sum count 3690"}
+
+
+def test_forms_suite_lets_a_program_fault_through(monkeypatch):
+    # a fault in a counter is not a failed check
+    from cfz import cli, cmforms
+
+    def broken(p):
+        raise RuntimeError("counter fault")
+
+    monkeypatch.setattr(cmforms, "count_fermat_cubic", broken)
+    with pytest.raises(RuntimeError, match="counter fault"):
+        cli.main(["verify", "--suite", "forms", "--primes", "7", "--no-cache"])

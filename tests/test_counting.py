@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import operator
@@ -16,8 +17,8 @@ from cfz.counting import (ConvolutionStructureError, CountBudgetError,
                           count_S_fibered, count_variety,
                           group_value_histogram, pairsum_groups,
                           points_on_variety, smoothness_scan)
-from cfz.fields import (enumerate_projective, field_of_order, field_tables, is_prime,
-                        quadratic_root_count)
+from cfz.fields import (FieldError, enumerate_projective, field_of_order, field_tables,
+                        is_prime, quadratic_root_count)
 
 S = builtin_variety("S")
 X = builtin_variety("X")
@@ -189,7 +190,11 @@ def test_fibered_counts_at_large_primes(p, n):
 def _s_fiber_count(xyz, tables) -> int:
     """Points of S above one base point [x:y:z]: zeros of the first equation
     on the line cut by the second.  Encodings in, the field's table set."""
-    mul, add, neg, inv = tables.mul, tables.add, tables.neg, tables.inv
+    mul, add, neg = tables.mul, tables.add, tables.neg
+
+    def inv(a):  # g^(-log a)
+        return tables.powers[-tables.log[a] % len(tables.powers)]
+
     x, y, z = xyz
     c0, c1, c2 = mul(x, x), mul(y, y), mul(z, z)
     # two points spanning the line c0*u + c1*v + c2*w = 0
@@ -557,30 +562,30 @@ def test_variety_file_with_a_builtin_spec_is_that_builtin(tmp_path):
 
 
 def test_fibered_counter_is_charged_its_base_points(monkeypatch):
-    # q^2 + q + 1 = 133 base points over GF(11), refused before any table
-    assert count_S_fibered(11, 1, budget=133) == count_S_fibered(11)
+    # the budget charges the generic oracle alone: S over GF(11), with its
+    # 133 base points, counts under any budget, and the field-order cap is
+    # the one refusal, made before any table is built
+    assert list(inspect.signature(count_S_fibered).parameters) == ["p", "k"]
+    assert count_variety(S, 11, budget=1) == count_S_fibered(11)
     monkeypatch.setattr(counting, "field_tables", lambda field: pytest.fail("table built"))
-    with pytest.raises(CountBudgetError, match="133 base points exceed budget 132"):
-        count_S_fibered(11, 1, budget=132)
-    monkeypatch.setenv("CFZ_BUDGET", "100")
-    with pytest.raises(CountBudgetError):
-        count_variety(S, 11)
+    with pytest.raises(FieldError, match="^field order 9765625 exceeds the cap 2\\^20"):
+        count_S_fibered(5, 10)
+    with pytest.raises(FieldError, match="cap"):
+        count_variety(S, 1048583, budget=10 ** 30)
 
 
 def test_convolution_counter_is_charged_its_group_assignments(monkeypatch):
-    # X has three pair groups: 3 * 7^2 = 147 assignments over GF(7), and
-    # 3 * 49^2 = 7203 over GF(49); refused before any field table exists
-    assert count_pairsum_convolution(X, 7, budget=147) == count_pairsum_convolution(X, 7)
-    assert count_pairsum_convolution(X, 7, 2, budget=7203) == count_pairsum_convolution(X, 7, 2)
+    # the budget charges the generic oracle alone: X over GF(7) and GF(49),
+    # with 3 q^2 group assignments, counts under any budget, and the
+    # field-order cap is the one refusal, made before any table is built
+    assert list(inspect.signature(count_pairsum_convolution).parameters) == ["spec", "p", "k"]
+    assert count_variety(X, 7, budget=1) == count_pairsum_convolution(X, 7)
+    assert count_variety(X, 7, 2, budget=1) == count_pairsum_convolution(X, 7, 2)
     monkeypatch.setattr(counting, "field_tables", lambda field: pytest.fail("table built"))
-    with pytest.raises(CountBudgetError,
-                       match=r"^X over GF\(7\): 147 group assignments exceed budget 146$"):
-        count_pairsum_convolution(X, 7, budget=146)
-    with pytest.raises(CountBudgetError, match="7203 group assignments exceed budget 7202"):
-        count_pairsum_convolution(X, 7, 2, budget=7202)
-    monkeypatch.setenv("CFZ_BUDGET", "146")
-    with pytest.raises(CountBudgetError):
-        count_variety(X, 7)
+    with pytest.raises(FieldError, match="^field order 1048583 exceeds the cap 2\\^20"):
+        count_pairsum_convolution(X, 1048583)
+    with pytest.raises(FieldError, match="cap"):
+        count_variety(X, 1031, 2, budget=10 ** 30)
 
 
 def test_budget_refusal_names_size():
@@ -588,12 +593,6 @@ def test_budget_refusal_names_size():
         count_points_generic(S, 7, budget=100)
     msg = str(e.value)
     assert "budget 100" in msg and str(57 * 57 * 6) in msg
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("CFZ_BUDGET", "100")
-    with pytest.raises(CountBudgetError):
-        count_points_generic(S, 7)
 
 
 def test_convolution_structure_errors():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -74,6 +75,28 @@ def test_field_of_order_is_built_once_per_order(monkeypatch):
         field_of_order.cache_clear()
 
 
+def test_field_order_cap_refuses_before_factoring(monkeypatch):
+    assert fields.MAX_FIELD_ORDER == 2 ** 20
+    assert field_of_order(1048573).order == 1048573  # the largest prime below the cap
+    monkeypatch.setattr(fields, "_prime_divisors", lambda n: pytest.fail("q factored"))
+    for q in (1048583, 5 ** 10, 1031 ** 2):
+        with pytest.raises(FieldError, match=f"^field order {q} exceeds the cap 2\\^20"):
+            field_of_order(q)
+
+
+def test_tables_at_the_cap_fit_in_128_mib():
+    # the traced peak of one table set, per element, times the cap
+    q = 10007
+    field = field_of_order(q)
+    tracemalloc.start()
+    try:
+        field_tables.__wrapped__(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / q * fields.MAX_FIELD_ORDER < 128 * 2 ** 20
+
+
 def _full_tables(field):
     q = field.order
     mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
@@ -91,7 +114,8 @@ def test_table_methods_follow_the_field_rule(q):
     assert tables.add(1, minus_one) == 0 and tables.zech[tables.log[minus_one]] == -1
     for a in range(q):
         assert tables.neg(a) == field.neg(a)
-        assert tables.inv(a) == (_inverse(field, a) if a else 0)
+        if a:  # g^(-log a) is the inverse
+            assert tables.powers[-tables.log[a] % (q - 1)] == _inverse(field, a)
         assert [tables.mul(a, b) for b in range(q)] == [field.mul(a, b) for b in range(q)]
         assert [tables.add(a, b) for b in range(q)] == [field.add(a, b) for b in range(q)]
     assert tables.chi == [_chi(field, a) for a in range(q)]
