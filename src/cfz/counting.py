@@ -528,6 +528,7 @@ def count_S_fibered(p: int, k: int = 1) -> CountRecord:
     F(c) = sum_z chi(z) chi(c + z^3).  F(0) = q - 1 and F(l^6 c) = F(c)
     (put z = l^2 z'), so F(g^s) is summed once for each class s mod
     gcd(6, q - 1), in logs."""
+    check_good_prime(p)
     q = p ** k
     powers, _, zech, chi = field_tables(field_of_order(q))
     n = q - 1

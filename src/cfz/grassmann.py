@@ -153,10 +153,13 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
 def grassmannian_points(k: int, n: int, p: int):
     """Canonical Pluecker coordinates of every point of Gr(k, n)(GF(p)),
     together with the echelon basis of the corresponding subspace."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    subs, _ = subset_index(k, n)
     out = {}
     for rows in echelon_subspaces(k + 1, n + 1, p):
-        v = PlueckerVector.from_frame(k, n, rows, p)
-        out[canonical_coords(v.coords, p)] = rows
+        minors = [det([[r[j] for j in s] for r in rows]) for s in subs]
+        out[canonical_coords(minors, p)] = rows
     assert len(out) == gaussian_binomial(n + 1, k + 1, p)
     return out
 

@@ -9,13 +9,21 @@ has the same degree in each block.
 
 The text grammar accepted by ``parse_poly``:
 
-    poly := ["-"] term (("+"|"-") term)*
-    term := [int "*"] factor ("*" factor)*
-    factor := var ("^" int)?
+    poly   := "0" | [sign] term (sign term)*
+    sign   := "+" | "-"
+    term   := [int "*"] factor ("*" factor)*
+    factor := var ["^" int]
+
+A token is a name [A-Za-z_][A-Za-z_0-9]*, an integer (decimal digits),
+one of ^ * + -, or any other single non-space character; whitespace may
+stand between any two.  A var is a token that is a variable name of the
+blocks and neither an operator nor a string of digits.  A term needs a
+var with a positive exponent ("5" and "x^0" are refused, "x^0*y" is y).
+Repeated variables add their exponents and like terms add, so the text
+may cancel to zero.
 """
 
 import math
-import operator
 import re
 
 
@@ -121,20 +129,14 @@ class Poly:
         nv = values[0].nvars if values else self.nvars
         if any(v.nvars != nv for v in values):
             raise ValueError("polynomials over different variable sets")
-        out = {}
+        out = Poly.zero(nv)
         for exps, c in self.terms.items():
-            term = {(0,) * nv: c}
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    prod = {}
-                    for e1, c1 in term.items():
-                        for e2, c2 in values[i].terms.items():
-                            key = tuple(map(operator.add, e1, e2))
-                            prod[key] = prod.get(key, 0) + c1 * c2
-                    term = prod
-            for key, c1 in term.items():
-                out[key] = out.get(key, 0) + c1
-        return Poly(nv, out)
+            term = Poly.constant(nv, c)
+            for v, e in zip(values, exps):
+                if e:
+                    term = term * v ** e
+            out = out + term
+        return out
 
     def derivative(self, i: int):
         out = {}
@@ -196,18 +198,13 @@ class MultiHomPoly:
         if self.poly.is_zero:
             return None
         slices = self.block_slices()
-        degs = None
-        bad = []
-        for exps, _ in self.poly.sorted_terms():
-            d = tuple(sum(exps[a:b]) for a, b in slices)
-            if degs is None:
-                degs = d
-            elif d != degs:
-                bad.append(self._term_text(exps))
+        exps = [e for e, _ in self.poly.sorted_terms()]
+        degs = [tuple(sum(e[a:b]) for a, b in slices) for e in exps]
+        bad = [self._term_text(e) for e, d in zip(exps, degs) if d != degs[0]]
         if bad:
             raise InhomogeneousError(
                 "terms with mismatched block degrees: " + ", ".join(bad))
-        return degs
+        return degs[0]
 
     @property
     def names(self):
@@ -249,98 +246,54 @@ class MultiHomPoly:
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[\^*+-]|\S")
+_SIGNS = {"+": 1, "-": -1}
 
 
 def parse_poly(text: str, blocks) -> MultiHomPoly:
-    """Parse polynomial text over the given variable blocks.
-
-    blocks is a sequence of sequences of variable names, e.g.
-    [["x","y","z"], ["u","v","w"]] for P^2 x P^2.
-    """
+    """Parse polynomial text, in the grammar of the module docstring, over
+    the given variable blocks: a sequence of sequences of variable names,
+    e.g. [["x","y","z"], ["u","v","w"]] for P^2 x P^2."""
     blocks = tuple(tuple(b) for b in blocks)
     names = [v for b in blocks for v in b]
-    index = {v: i for i, v in enumerate(names)}
-    if len(index) != len(names):
-        raise PolyParseError("duplicate variable names across blocks")
     if text.strip() == "0":
         return MultiHomPoly(blocks, Poly.zero(len(names)))
-    tokens = _TOKEN.findall(text)
-    if not tokens:
-        raise PolyParseError("empty polynomial text")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
+    # a name that reads as an operator or an integer is never a var
+    index = {v: i for i, v in enumerate(names) if v not in "^*+-" and not v.isdigit()}
+    tokens = _TOKEN.findall(text)[::-1]  # the next token is the last
     terms = {}
 
-    def parse_term(sign):
-        coeff = sign
+    def skip(t):
+        found = bool(tokens) and tokens[-1] == t
+        if found:
+            tokens.pop()
+        return found
+
+    def take(wanted, ok):
+        if not tokens:
+            raise PolyParseError(f"text ended where {wanted} was expected")
+        t = tokens.pop()
+        if not ok(t):
+            raise PolyParseError(f"expected {wanted}, got {t!r}")
+        return t
+
+    def factor(exps):
+        t = take("a known variable", index.__contains__)
+        e = int(take(f"an exponent after {t!r}", str.isdecimal)) if skip("^") else 1
+        exps[index[t]] += e
+
+    def term(coeff):
+        if tokens and tokens[-1].isdecimal():
+            coeff *= int(tokens.pop())
+            take("'*' after a coefficient", "*".__eq__)
         exps = [0] * len(names)
-        first = True
-        need_sep = False
-        while True:
-            t = peek()
-            if t is None or t in "+-":
-                break
-            if t == "*":
-                take()
-                if not need_sep:
-                    raise PolyParseError("unexpected '*'")
-                need_sep = False
-                continue
-            if need_sep:
-                raise PolyParseError(f"missing '*' before {t!r}")
-            take()
-            if t.isdigit():
-                if not first:
-                    raise PolyParseError(
-                        f"integer coefficient must lead the term, got {t!r}")
-                coeff *= int(t)
-            elif t == "^":
-                raise PolyParseError("'^' without a variable")
-            else:
-                if t not in index:
-                    raise PolyParseError(f"unknown variable {t!r}")
-                e = 1
-                if peek() == "^":
-                    take()
-                    nt = take()
-                    if nt is None or not nt.isdigit():
-                        raise PolyParseError(f"bad exponent after {t!r}")
-                    e = int(nt)
-                exps[index[t]] += e
-            first = False
-            need_sep = True
-        if first:
-            raise PolyParseError("empty term")
-        if not need_sep:
-            raise PolyParseError("dangling '*'")
+        factor(exps)
+        while skip("*"):
+            factor(exps)
         if not any(exps):
             raise PolyParseError("term without a variable")
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
 
-    sign = 1
-    if peek() == "-":
-        take()
-        sign = -1
-    elif peek() == "+":
-        take()
-    parse_term(sign)
-    while peek() is not None:
-        t = take()
-        if t == "+":
-            parse_term(1)
-        elif t == "-":
-            parse_term(-1)
-        else:
-            raise PolyParseError(f"expected '+' or '-', got {t!r}")
-
+    term(_SIGNS[tokens.pop()] if tokens and tokens[-1] in _SIGNS else 1)
+    while tokens:
+        term(_SIGNS[take("'+' or '-'", _SIGNS.__contains__)])
     return MultiHomPoly(blocks, Poly(len(names), terms))

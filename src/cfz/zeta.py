@@ -87,8 +87,9 @@ def fourfold_count_from_surface(n1: int, p: int) -> int:
 
 
 def algebraic_trace_split(t2: int, a_p: int, p: int) -> int:
-    """Split the H^2 trace as t2 = t_alg + a_p; t_alg must be p times an
-    integer of absolute value at most 20."""
+    """Split the H^2 trace as t2 = t_alg + a_p; t_alg must be p times the
+    number of fixed minus flipped classes of NS(S), an integer of absolute
+    value at most 20 and of the parity of 20."""
     check_good_prime(p)
     t_alg = t2 - a_p
     if t_alg % p != 0:
@@ -97,6 +98,9 @@ def algebraic_trace_split(t2: int, a_p: int, p: int) -> int:
     if abs(t_alg // p) > NS_RANK:
         raise InconsistentCountError(
             f"|t_alg/p| = {abs(t_alg // p)} exceeds the algebraic rank 20")
+    if (t_alg // p) % 2:
+        raise InconsistentCountError(
+            f"t_alg/p = {t_alg // p} is odd, but NS(S) has even rank 20")
     return t_alg
 
 

@@ -487,6 +487,20 @@ def test_inconsistent_cached_count_exits_1(tmp_path):
     assert r.returncode == 2
 
 
+def test_cached_count_of_the_wrong_parity_exits_1(tmp_path):
+    # 170 points for S at p = 7 (the true count is 177) lies inside the Weil
+    # bound and gives t_alg = 19 * 7, but the fixed and flipped classes of
+    # NS(S) sum to 20, so their difference is even: the mathematics
+    # disagrees, though no --ns-fixed was given
+    from cfz.counting import builtin_variety
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
+                                 "k": 1, "count": 170, "method": "fibered"}) + "\n")
+    r = run_cli("zeta", "--prime", "7", "--cache", str(cache))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert "odd" in r.stderr
+
+
 def test_cached_count_breaking_the_weil_bound_is_recomputed(tmp_path):
     # 400 fits in the 3249 points of P^2 x P^2 over GF(7), but a K3 surface
     # has |N - 1 - 49| <= 22 * 7 = 154

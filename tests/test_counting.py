@@ -574,6 +574,17 @@ def test_fibered_counter_is_charged_its_base_points(monkeypatch):
         count_variety(S, 1048583, budget=10 ** 30)
 
 
+def test_fibered_counter_refuses_a_prime_power(tmp_path):
+    # 25 would otherwise count S over GF(25) under the label p = 25, and
+    # count_variety would cache that count under the key (sha, 25, 1)
+    cache = CountCache(tmp_path / "c.jsonl")
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_S_fibered(25)
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_variety(S, 25, cache=cache)
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_convolution_counter_is_charged_its_group_assignments(monkeypatch):
     # the budget charges the generic oracle alone: X over GF(7) and GF(49),
     # with 3 q^2 group assignments, counts under any budget, and the

@@ -96,6 +96,21 @@ def test_grassmannian_point_counts():
     assert len(grassmannian_points(1, 4, 3)) == 1210
 
 
+@pytest.mark.parametrize("k, n, q", [(1, 3, 2), (1, 3, 3), (1, 4, 2), (1, 4, 3),
+                                     (2, 4, 2), (1, 5, 2)])
+def test_grassmannian_points_are_the_canonical_wedges(k, n, q):
+    # reference: each echelon basis wedged through PlueckerVector; the
+    # points, their bases and their order agree
+    wedges = {canonical_coords(PlueckerVector.from_frame(k, n, rows, q).coords, q): rows
+              for rows in echelon_subspaces(k + 1, n + 1, q)}
+    assert list(grassmannian_points(k, n, q).items()) == list(wedges.items())
+
+
+def test_grassmannian_points_refuse_non_prime_p():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        grassmannian_points(1, 3, 4)
+
+
 def test_max_subspace_lines_in_p4_gf2():
     r = max_linear_subspace_dim(1, 4, 2)
     assert r.max_dim == 3

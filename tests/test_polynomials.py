@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cfz.fourfold import CUBIC, F_FORM, G_FORM
-from cfz.polynomials import (InhomogeneousError, MultiHomPoly, Poly,
+from cfz.polynomials import (_TOKEN, InhomogeneousError, MultiHomPoly, Poly,
                              PolyParseError, parse_poly)
 
 BLOCKS_22 = [["x", "y", "z"], ["u", "v", "w"]]
@@ -145,3 +145,184 @@ def test_duplicate_variable_names_rejected():
 def test_blocks_mismatch_in_multihom():
     with pytest.raises(ValueError):
         MultiHomPoly([["x"], ["u"]], Poly(3, {(1, 0, 0): 1}))
+
+
+def _reference_parse_poly(text, blocks):
+    # reference: the token-flag parser that parse_poly replaced, kept
+    # verbatim; its two flags track whether a term has begun (first) and
+    # whether a '*' must come next (need_sep)
+    blocks = tuple(tuple(b) for b in blocks)
+    names = [v for b in blocks for v in b]
+    index = {v: i for i, v in enumerate(names)}
+    if len(index) != len(names):
+        raise PolyParseError("duplicate variable names across blocks")
+    if text.strip() == "0":
+        return MultiHomPoly(blocks, Poly.zero(len(names)))
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial text")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        t = peek()
+        pos += 1
+        return t
+
+    terms = {}
+
+    def parse_term(sign):
+        coeff = sign
+        exps = [0] * len(names)
+        first = True
+        need_sep = False
+        while True:
+            t = peek()
+            if t is None or t in "+-":
+                break
+            if t == "*":
+                take()
+                if not need_sep:
+                    raise PolyParseError("unexpected '*'")
+                need_sep = False
+                continue
+            if need_sep:
+                raise PolyParseError(f"missing '*' before {t!r}")
+            take()
+            if t.isdigit():
+                if not first:
+                    raise PolyParseError(
+                        f"integer coefficient must lead the term, got {t!r}")
+                coeff *= int(t)
+            elif t == "^":
+                raise PolyParseError("'^' without a variable")
+            else:
+                if t not in index:
+                    raise PolyParseError(f"unknown variable {t!r}")
+                e = 1
+                if peek() == "^":
+                    take()
+                    nt = take()
+                    if nt is None or not nt.isdigit():
+                        raise PolyParseError(f"bad exponent after {t!r}")
+                    e = int(nt)
+                exps[index[t]] += e
+            first = False
+            need_sep = True
+        if first:
+            raise PolyParseError("empty term")
+        if not need_sep:
+            raise PolyParseError("dangling '*'")
+        if not any(exps):
+            raise PolyParseError("term without a variable")
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+
+    sign = 1
+    if peek() == "-":
+        take()
+        sign = -1
+    elif peek() == "+":
+        take()
+    parse_term(sign)
+    while peek() is not None:
+        t = take()
+        if t == "+":
+            parse_term(1)
+        elif t == "-":
+            parse_term(-1)
+        else:
+            raise PolyParseError(f"expected '+' or '-', got {t!r}")
+
+    return MultiHomPoly(blocks, Poly(len(names), terms))
+
+
+# block layouts for the differential runs; the last repeats a name
+PARSE_LAYOUTS = (BLOCKS_22, [["x", "y"]], [["a"], ["b", "c"], ["d", "x"]],
+                 [["x", "y"], ["u", "x"]])
+# tokens of every kind, run together or spaced apart: names in and out of
+# the layouts, integers ("٣" is a decimal digit, "²" a digit that is not),
+# the four operators, and other characters
+PARSE_TOKENS = ("x", "y", "z", "u", "v", "w", "a", "b", "c", "d", "t", "x1",
+                "0", "1", "2", "3", "10", "007", "٣", "²",
+                "^", "*", "+", "-", "^", "*", "+", "-", "$", "é", "(")
+PARSE_GAPS = ("", "", " ", "  ", "\t")
+
+
+def _random_token_text(rng):
+    return "".join(rng.choice(PARSE_TOKENS) + rng.choice(PARSE_GAPS)
+                   for _ in range(rng.randrange(8)))
+
+
+def _grammar_shaped_text(rng, blocks):
+    # a polynomial of one multidegree in the grammar's free forms: signs,
+    # coefficients, factors in any order, a variable split over repeated
+    # factors, exponents 0 and 1 written out, spacing anywhere; now and
+    # then a name outside the layout
+    names = [v for b in blocks for v in b] + ["t"] * (rng.random() < 0.05)
+    degree = [rng.randrange(3) for _ in blocks]
+    gap = lambda: rng.choice(("", "", "", " ", "  ", "\t"))
+    power = lambda v, e: f"{v}{gap()}^{gap()}{e}"
+    text = rng.choice(("", "", "+", "-")) + gap()
+    for i in range(rng.randrange(1, 5)):
+        if i:
+            text += gap() + rng.choice("+-") + gap()
+        if rng.random() < 0.4:
+            text += str(rng.randrange(12)) + gap() + "*" + gap()
+        factors = [power(rng.choice(names), 0) for _ in range(rng.randrange(2))]
+        for block, d in zip(blocks, degree):
+            picks = [rng.choice(block) for _ in range(d)]
+            for v in sorted(set(picks)):
+                e = picks.count(v)
+                if rng.random() < 0.5:
+                    factors += [v] * e
+                else:
+                    factors.append(power(v, e) if e > 1 or rng.random() < 0.3 else v)
+        rng.shuffle(factors)
+        text += (gap() + "*" + gap()).join(factors or ["t"])
+    return text
+
+
+def _parse_outcome(parser, text, blocks):
+    """What a parse gives: the terms, multidegree and canonical text, or
+    the class of the error.  A bare ValueError from int() on a digit that
+    is not decimal, such as '²', is the reference's crash where parse_poly
+    refuses the text: both count as a PolyParseError."""
+    try:
+        mh = parser(text, blocks)
+    except ValueError as e:
+        return PolyParseError if type(e) is ValueError else type(e)
+    return mh.poly.terms, mh.multidegree, mh.to_text()
+
+
+def parse_mismatches(seed, n_random, n_shaped):
+    """Texts, with their layout, on which parse_poly and the reference
+    disagree: n_random token strings and n_shaped grammar-shaped
+    polynomials per layout."""
+    rng = random.Random(seed)
+    bad = []
+    for blocks in PARSE_LAYOUTS:
+        texts = [_random_token_text(rng) for _ in range(n_random)]
+        texts += [_grammar_shaped_text(rng, blocks) for _ in range(n_shaped)]
+        bad += [(text, blocks) for text in texts
+                if _parse_outcome(parse_poly, text, blocks)
+                != _parse_outcome(_reference_parse_poly, text, blocks)]
+    return bad
+
+
+def test_parse_poly_matches_the_reference_parser():
+    assert parse_mismatches(seed=22, n_random=5000, n_shaped=1250) == []
+
+
+def test_parse_accepts_the_documented_language():
+    ok = {"0": "0", " 0 ": "0", "+x*u": "x*u", "- x ^ 2 * u": "-x^2*u",
+          "2*x*x*u - x^2*u": "x^2*u", "x^0*y*u": "y*u", "0*x*u": "0",
+          "x^٣": "x^3", "007*x": "7*x"}
+    for text, canonical in ok.items():
+        assert parse_poly(text, BLOCKS_22).to_text() == canonical
+    for bad in ("x*2", "2*3*x", "2 x", "x^0", "+0", "-", "x^²", "²*x", "x $ y"):
+        with pytest.raises(PolyParseError):
+            parse_poly(bad, BLOCKS_22)

@@ -40,3 +40,27 @@ def test_work_counts_read_the_leading_parameters():
 
     assert leading("count_S_fibered", 2) == ["p", "k"]
     assert leading("count_pairsum_convolution", 2) == ["spec", "p"]
+
+
+def test_work_counts_read_the_counters_real_arguments(monkeypatch):
+    # work_counts reads spec.ambient, mh.poly.terms and pairsum_groups(spec)
+    # from the arguments the counters are called with: record real calls
+    # of each kind, over GF(p) and GF(p^2), and read them back
+    from cfz import counting
+
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    for attr, kind in (("count_S_fibered", "fibered"),
+                       ("count_pairsum_convolution", "convolution"),
+                       ("count_points_generic", "generic")):
+        monkeypatch.setattr(counting, attr, tracer.work_recorder(kind, getattr(counting, attr)))
+    S, X = counting.builtin_variety("S"), counting.builtin_variety("X")
+    for k in (1, 2):
+        counting.count_variety(S, 5, k)
+        counting.count_variety(X, 5, k)
+        counting.count_variety(S, 5, k, method="generic")
+    assert sorted(kind for kind, _, _ in tracer.work_args) == (
+        ["convolution"] * 2 + ["fibered"] * 2 + ["generic"] * 2)
+    work = tracer_module.work_counts(tracer.work_args)
+    assert sorted(work) == ["fibers", "generic_evals", "generic_max_cells", "group_evals"]
+    assert all(type(v) is int and v > 0 for v in work.values())

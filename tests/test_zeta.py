@@ -10,7 +10,8 @@ from cfz.zeta import (CohomologyDecomposition, LocalFactor,
                       fourfold_count_from_surface, fourfold_h4_decomposition,
                       hilbert_square_count, hilbert_square_h2_decomposition,
                       local_factor_cm, power_sums, reconstruct_count,
-                      residue_zero_check, trace_from_count)
+                      residue_zero_check, trace_from_count,
+                      InconsistentCountError)
 
 TABLE = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
 RESIDUES = {7: 1, 13: 12, 19: 11, 31: 16, 37: 10}
@@ -116,6 +117,8 @@ def test_algebraic_trace_split():
         algebraic_trace_split(128, -13, 7)      # not divisible by 7
     with pytest.raises(ValueError):
         algebraic_trace_split(21 * 7, 0, 7)     # rank above 20
+    with pytest.raises(InconsistentCountError, match="odd"):
+        algebraic_trace_split(120, -13, 7)      # t_alg = 19 * 7: 19 classes fixed of 20
 
 
 def test_local_factor_cm():
