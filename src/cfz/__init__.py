@@ -13,8 +13,7 @@ from .fields import (FiniteField, enumerate_projective, field_of_order,
                      field_tables, find_irreducible, quadratic_root_count)
 from .fourfold import (LinearMapP5, automorphism_subgroup,
                        verify_pfaffian_map_identity)
-from .grassmann import (PlueckerVector, is_decomposable,
-                        max_linear_subspace_dim, pluecker_relations)
+from .grassmann import max_linear_subspace_dim, pluecker_relations
 from .lattice import (GramMatrix2, associated_k3_degree, discriminant,
                       special_admissible)
 from .polynomials import MultiHomPoly, Poly, parse_poly

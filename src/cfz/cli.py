@@ -21,7 +21,8 @@ from .counting import (CountBudgetError, VarietySpec,
                        count_pairsum_convolution, count_fermat_cubic,
                        count_points_generic, points_on_variety, smoothness_scan,
                        pairsum_groups, group_value_histogram, COUNT_METHODS)
-from .fields import check_good_prime, field_of_order, is_good_prime, is_prime
+from .fields import (MAX_FIELD_ORDER, check_field_order, check_good_prime, field_of_order,
+                     is_good_prime, is_prime)
 from .fourfold import (automorphism_subgroup, identity_map, pair_shear_generator,
                        pair_swap_generator, random_map_identity_check,
                        verify_pfaffian_map_identity)
@@ -34,24 +35,30 @@ class UsageError(Exception):
     pass
 
 
-def _parse_primes(text: str):
-    primes = []
+def _parse_primes(text: str, k: int = 1):
+    """The good primes of a comma list of primes and a..b ranges.
+
+    A prime p with GF(p^k) over the field-order cap is refused before any
+    range is enumerated; the refusal names the least such p^k, where
+    counting the primes in ascending order would have stopped."""
+    spans = []
     for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            for n in range(int(lo), int(hi) + 1):
-                if is_good_prime(n):
-                    primes.append(n)
-        else:
-            n = int(token)
-            check_good_prime(n)
-            primes.append(n)
+        lo, dots, hi = token.strip().partition("..")
+        if dots:
+            spans.append((int(lo), int(hi)))
+        elif lo:
+            check_good_prime(int(lo))
+            spans.append((int(lo), int(lo)))
+    # the first prime of each span with p^k over the cap, scanned from about
+    # the k-th root of the cap so that no span is walked below it
+    root = int(MAX_FIELD_ORDER ** (1 / k))
+    over = [next((n for n in range(max(lo, root), hi + 1)
+                  if n ** k > MAX_FIELD_ORDER and is_good_prime(n)), None) for lo, hi in spans]
+    check_field_order(min(filter(None, over), default=1) ** k)
+    primes = {n for lo, hi in spans for n in range(lo, hi + 1) if is_good_prime(n)}
     if not primes:
         raise UsageError("no usable primes given")
-    return sorted(set(primes))
+    return sorted(primes)
 
 
 def _load_variety(selector: str) -> VarietySpec:
@@ -74,7 +81,7 @@ def cmd_count(args):
     spec = _load_variety(args.variety)
     cache = None if args.no_cache else CountCache(args.cache)
     rows = []
-    for p in _parse_primes(args.primes):
+    for p in _parse_primes(args.primes, args.ext):
         rec = count_variety(spec, p, k=args.ext, method=args.method,
                             budget=args.budget, cache=cache)
         rows.append(rec)

@@ -6,8 +6,8 @@ root-counting kernel below needs odd field order, and 3 is the bad prime
 of every identity downstream.  ``is_good_prime`` and ``check_good_prime``
 are the one statement of that rule for the whole package.
 
-GF(p^k) is GF(p)[x]/(m) for a monic irreducible modulus m, by default
-the lexicographically first one (see ``find_irreducible``), so that every
+GF(p^k) is GF(p)[x]/(m) for the lexicographically first monic
+irreducible m of degree k (see ``find_irreducible``), so that every
 count is reproducible across runs.  An element is only ever its integer
 encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients c_i of its
 residue class; since p >= 5, the small constants 0 to 4 encode as
@@ -20,7 +20,8 @@ lookups; no table of q^2 entries is built.  The same rule, in the
 quotient ring GF(p)[x]/(f), also decides whether a modulus f is
 irreducible (``_is_irreducible``).  ``FiniteField(p, k)`` and
 ``field_of_order(q)`` are the two ways to build a field, and every
-table in the package is built on a field from ``field_of_order``.
+table in the package is built on a field from ``field_of_order``, whose
+cap on q (``check_field_order``) bounds them.
 """
 
 from functools import lru_cache
@@ -33,7 +34,7 @@ MAX_FIELD_ORDER = 1 << 20
 
 
 class FieldError(ValueError):
-    """Invalid field construction: bad characteristic, order or modulus."""
+    """Invalid field construction: bad characteristic, degree or order."""
 
 
 def is_prime(n: int) -> bool:
@@ -79,7 +80,9 @@ def _is_irreducible(f, p):
     k = len(f) - 1
     if k == 1:
         return True
-    ring = FiniteField._quotient_ring(p, f)
+    # R on the field's own arithmetic, built without the field's checks
+    ring = FiniteField.__new__(FiniteField)
+    ring.p, ring.k, ring.modulus = p, k, tuple(f)
     x = p  # the encoding of the residue class of x
     if ring.pow(x, p ** k) != x:
         return False
@@ -140,8 +143,8 @@ def find_irreducible(p: int, k: int) -> tuple:
 # fields
 
 class FiniteField:
-    """GF(p^k) as GF(p)[x]/(modulus), p >= 5, monic irreducible modulus of
-    degree k (x itself for k = 1).
+    """GF(p^k) as GF(p)[x]/(modulus), p >= 5, for the modulus
+    ``find_irreducible(p, k)`` (x itself for k = 1).
 
     ``add``, ``neg``, ``mul`` and ``pow`` are the field's arithmetic on
     encodings, the one rule that the table set of ``field_tables`` and
@@ -150,28 +153,8 @@ class FiniteField:
 
     __slots__ = ("p", "k", "modulus")
 
-    def __init__(self, p: int, k: int = 1, modulus=None):
-        check_good_prime(p)
-        if k < 1:
-            raise FieldError(f"extension degree must be >= 1, got {k}")
-        if modulus is None:
-            modulus = find_irreducible(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise FieldError("modulus must be monic of degree k")
-        if not _is_irreducible(modulus, p):
-            raise FieldError("modulus is reducible")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-
-    @classmethod
-    def _quotient_ring(cls, p: int, modulus):
-        """GF(p)[x]/(modulus) for any monic modulus, unchecked: the ring the
-        irreducibility test computes in, with the field's own arithmetic."""
-        ring = cls.__new__(cls)
-        ring.p, ring.k, ring.modulus = p, len(modulus) - 1, tuple(modulus)
-        return ring
+    def __init__(self, p: int, k: int = 1):
+        self.p, self.k, self.modulus = p, k, find_irreducible(p, k)
 
     @property
     def char(self):
@@ -226,26 +209,32 @@ class FiniteField:
         return result
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteField) and other.p == self.p
-                and other.k == self.k and other.modulus == self.modulus)
+        # the modulus is find_irreducible(p, k), so p and k name the field
+        return isinstance(other, FiniteField) and (other.p, other.k) == (self.p, self.k)
 
     def __hash__(self):
-        return hash(("GF", self.p, self.k, self.modulus))
+        return hash(("GF", self.p, self.k))
 
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
+def check_field_order(q: int):
+    """Raise FieldError if q exceeds MAX_FIELD_ORDER: the one statement of
+    the cap, for ``field_of_order`` and for the CLI's prime lists."""
+    if q > MAX_FIELD_ORDER:
+        raise FieldError(f"field order {q} exceeds the cap 2^20 = {MAX_FIELD_ORDER} "
+                         "on the field tables")
+
+
 @lru_cache(maxsize=None)
 def field_of_order(q: int):
-    """The field with q = p^k elements (p >= 5; default modulus for k >= 2).
+    """The field with q = p^k elements, p >= 5.
 
     Built once per q and process: for k >= 2 the build scans for the
     modulus, and a field is immutable, so every caller can share it.
     q > MAX_FIELD_ORDER is refused before q is factored."""
-    if q > MAX_FIELD_ORDER:
-        raise FieldError(f"field order {q} exceeds the cap 2^20 = {MAX_FIELD_ORDER} "
-                         "on the field tables")
+    check_field_order(q)
     if q < 5:
         raise FieldError(f"field order {q} not supported (char 2 and 3 excluded)")
     primes = _prime_divisors(q)

@@ -6,17 +6,17 @@ Everything here works in the coordinate order (x, u, y, v, z, w) so the
 pairing of the two planes' variables is contiguous.  All arithmetic is
 exact integer arithmetic: the polynomials have integer coefficients, and
 ``LinearMapP5`` stores integer matrices, whose products, determinants
-(``linalg.det``) and substitutions into the cubic never form a Fraction.
+(``linalg.det``) and substitutions into the cubic stay integral.
 ``normalized()`` scales a matrix to its primitive integer representative
 (entries with gcd 1) whose first nonzero entry is positive; for the
 generators below, whose entries lie in {-1, 0, 1}, that is the matrix
 scaled to a leading 1.
 
 The generators are sparse, and both checks use only nonzero entries:
-``automorphism_subgroup`` multiplies by a generator column by column, so
-a generator column with one entry copies one column of the left factor,
-and ``preserves_cubic`` expands each term of the cubic over the nonzero
-entries of the rows its variables map to.
+``automorphism_subgroup`` multiplies by a generator on the left, row by
+row, so a generator row with one entry copies one row of the right
+factor, and ``preserves_cubic`` expands each term of the cubic over the
+nonzero entries of the rows its variables map to.
 """
 
 import math
@@ -79,8 +79,7 @@ def random_map_identity_check(trials: int = 100, p: int = 101, seed: int = 0) ->
 class LinearMapP5:
     """Invertible 6x6 matrix acting on (x,u,y,v,z,w), considered projectively.
 
-    Entries are Python ints: Fractions passed in are cleared of their
-    denominators, which does not change the projective map.
+    Entries are Python ints; any other entry raises ``ValueError``.
     ``normalized()`` is the primitive integer representative whose first
     nonzero entry (row-major) is positive, which makes projective equality
     plain tuple equality.
@@ -89,15 +88,14 @@ class LinearMapP5:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        from fractions import Fraction
-
-        rows = [[Fraction(e) for e in r] for r in rows]
+        rows = tuple(tuple(r) for r in rows)
         if len(rows) != 6 or any(len(r) != 6 for r in rows):
             raise ValueError("need a 6x6 matrix")
-        den = math.lcm(*(e.denominator for r in rows for e in r))
-        self.rows = tuple(tuple(int(e * den) for e in r) for r in rows)
-        if det(self.rows) == 0:
+        if any(type(e) is not int for r in rows for e in r):
+            raise ValueError("entries must be Python ints")
+        if det(rows) == 0:
             raise ValueError("matrix is not invertible")
+        self.rows = rows
 
     @classmethod
     def _of_int_rows(cls, rows) -> "LinearMapP5":
@@ -196,23 +194,22 @@ def _primitive(rows):
     return tuple(tuple(e // scale for e in r) for r in rows)
 
 
-def _right_multiplier(g: LinearMapP5):
-    """The map m -> (m @ g) on matrices held as their columns, scaled to
-    primitive form: column j of m @ g is the sum of g[t][j] times column t
-    of m over the nonzero entries of g's column j, found once; a column of
-    g with a single entry makes a scaled copy of one column of m."""
-    plan = [tuple(zip(*((t, r[j]) for t, r in enumerate(g.rows) if r[j])))
-            for j in range(6)]
+def _left_multiplier(g: LinearMapP5):
+    """The map m -> (g @ m) on row tuples, scaled by ``_primitive`` as
+    ``normalized()`` is: row i of g @ m is the sum of g[i][t] times row t
+    of m over the nonzero entries of g's row i, found once; a row of g
+    with a single entry makes a scaled copy of one row of m."""
+    plan = [tuple(zip(*((t, e) for t, e in enumerate(r) if e))) for r in g.rows]
 
-    def times(cols):
+    def times(rows):
         out = []
         for ts, scales in plan:
             if len(ts) == 1:
                 t, e = ts[0], scales[0]
-                out.append(cols[t] if e == 1 else tuple(x * e for x in cols[t]))
+                out.append(rows[t] if e == 1 else tuple(x * e for x in rows[t]))
             else:
                 out.append(tuple(sum(map(operator.mul, entries, scales))
-                                 for entries in zip(*map(cols.__getitem__, ts))))
+                                 for entries in zip(*map(rows.__getitem__, ts))))
         return _primitive(tuple(out))
     return times
 
@@ -226,9 +223,7 @@ def automorphism_subgroup(generators) -> GroupReport:
         if not preserves_cubic(g):
             raise FormNotPreservedError(
                 f"generator {i} does not preserve the cubic form")
-        steps.append(_right_multiplier(g))
-    # the closure runs on column tuples, made primitive in column-major
-    # order: as canonical a representative as the row-major normalized()
+        steps.append(_left_multiplier(g))
     one = identity_map().rows
     elements = {one}
     frontier = [one]
@@ -241,8 +236,7 @@ def automorphism_subgroup(generators) -> GroupReport:
                     elements.add(h)
                     nxt.append(h)
         frontier = nxt
-    group = [LinearMapP5._of_int_rows(rows)
-             for rows in sorted(_primitive(tuple(zip(*cols))) for cols in elements)]
+    group = [LinearMapP5._of_int_rows(rows) for rows in sorted(elements)]
     for h in group:
         if not preserves_cubic(h):
             raise FormNotPreservedError("closure produced a non-preserving element")

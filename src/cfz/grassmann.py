@@ -1,11 +1,13 @@
-"""Pluecker coordinates, decomposability, and exhaustive search for
-linear subspaces inside Grassmannians over tiny fields.
+"""Pluecker coordinates and exhaustive search for linear subspaces
+inside Grassmannians over tiny prime fields.
 
-Coordinates are indexed by the sorted (k+1)-subsets of {0..n}.  A vector
-of the exterior power is decomposable exactly when the quadratic
-Pluecker relations vanish; over GF(2) and GF(3) this module also checks
-that statement the hard way, by enumerating all subspaces, and finds the
-largest projective linear subspace contained in the Pluecker image.
+A point is its tuple of coordinates mod p, indexed by the sorted
+(k+1)-subsets of {0..n}.  A nonzero vector of the exterior power is
+decomposable exactly when the quadratic Pluecker relations vanish on it;
+``grassmannian_points`` enumerates the Pluecker image of every subspace,
+against which ``verify --suite pluecker`` checks that statement, and
+``max_linear_subspace_dim`` finds the largest projective linear subspace
+contained in the image.
 
 Unlike the counting kernels, the linear algebra here runs over any prime
 field including GF(2) and GF(3); nothing in it needs odd characteristic.
@@ -25,53 +27,6 @@ def subset_index(k: int, n: int):
     """Sorted (k+1)-subsets of {0..n} and their positions."""
     subs = list(combinations(range(n + 1), k + 1))
     return subs, {s: i for i, s in enumerate(subs)}
-
-
-class PlueckerVector:
-    """Element of the (k+1)-st exterior power of an (n+1)-space, with
-    integer coordinates taken mod p when p is given (p may be 2 or 3)."""
-
-    def __init__(self, k: int, n: int, coords, p=None):
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if p is not None and not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.k, self.n, self.p = k, n, p
-        subs, idx = subset_index(k, n)
-        if isinstance(coords, dict):
-            vals = [0] * len(subs)
-            for key, v in coords.items():
-                key = tuple(sorted(key))
-                if key not in idx:
-                    raise ValueError(f"bad index set {key}")
-                vals[idx[key]] = v
-            coords = vals
-        coords = list(coords)
-        if len(coords) != len(subs):
-            raise ValueError(f"expected {len(subs)} coordinates, got {len(coords)}")
-        if p is not None:
-            coords = [c % p for c in coords]
-        self.coords = tuple(coords)
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    @classmethod
-    def from_frame(cls, k, n, rows, p=None):
-        """Wedge of k+1 integer row vectors: coordinates are the maximal minors."""
-        rows = [list(r) for r in rows]
-        if len(rows) != k + 1 or any(len(r) != n + 1 for r in rows):
-            raise ValueError("frame must be k+1 vectors of length n+1")
-        subs, _ = subset_index(k, n)
-        coords = []
-        for s in subs:
-            minor = det([[rows[i][j] for j in s] for i in range(k + 1)])
-            coords.append(minor % p if p is not None else minor)
-        return cls(k, n, coords, p)
-
-    def __repr__(self):
-        return f"PlueckerVector(k={self.k}, n={self.n}, {self.coords})"
 
 
 def pluecker_relations(k: int, n: int):
@@ -109,17 +64,9 @@ def pluecker_relations(k: int, n: int):
     return out
 
 
-def evaluate_relation(rel, coords, p=None):
-    total = sum(c * coords[i] * coords[j] for c, i, j in rel)
-    return total % p if p is not None else total
-
-
-def is_decomposable(v: PlueckerVector) -> bool:
-    """True iff v is a wedge of k+1 vectors: all Pluecker relations vanish."""
-    if v.is_zero:
-        raise ValueError("the zero vector is not a point of projective space")
-    return all(evaluate_relation(rel, v.coords, v.p) == 0
-               for rel in pluecker_relations(v.k, v.n))
+def evaluate_relation(rel, coords, p):
+    """The value mod p of one relation at a coordinate vector."""
+    return sum(c * coords[i] * coords[j] for c, i, j in rel) % p
 
 
 # ---------------------------------------------------------------------------

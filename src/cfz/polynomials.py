@@ -3,9 +3,9 @@ multihomogeneous layer used to define varieties in products of
 projective spaces.
 
 ``Poly`` is the plain workhorse: a dict from exponent tuples to nonzero
-coefficients (int, or Fraction in the symbolic checks).  ``MultiHomPoly``
-adds a block structure over named variables and enforces that every term
-has the same degree in each block.
+integer coefficients.  ``MultiHomPoly`` adds a block structure over
+named variables and enforces that every term has the same degree in
+each block.
 
 The text grammar accepted by ``parse_poly``:
 

@@ -133,6 +133,28 @@ def test_count_past_the_field_order_cap_is_refused(args):
     assert CAP_MESSAGE in r.stderr
 
 
+def test_an_over_cap_prime_is_refused_before_anything_is_counted(monkeypatch, capsys):
+    # the refusal names the least over-cap order, as counting in ascending
+    # order did, and comes before any range is enumerated or counted
+    from cfz import cli
+
+    def counter(*args, **kwargs):
+        pytest.fail("a counter ran")
+
+    for name in ("count_variety", "count_S_fibered", "count_pairsum_convolution",
+                 "count_points_generic", "count_fermat_cubic"):
+        monkeypatch.setattr(cli, name, counter)
+    for line, q in (("count --variety builtin:S --primes 1048573,1048583 --no-cache", 1048583),
+                    ("count --variety builtin:S --primes 5..2000000 --no-cache", 1048583),
+                    ("trace-table --primes 2000003,1048583..1048600,7 --no-cache", 1048583),
+                    ("verify --suite counts --primes 5..2000000", 1048583),
+                    ("count --variety builtin:X --ext 2 --primes 7,5..2000 --no-cache", 1031 ** 2)):
+        assert cli.main(line.split()) == 2
+        assert capsys.readouterr() == ("", f"error: field order {q} {CAP_MESSAGE}\n")
+    # a range's upper end over the cap is no refusal when no prime lies past it
+    assert cli._parse_primes("1048572..1048577") == [1048573]
+
+
 def test_count_convolution_within_default_budget():
     r = run_cli("count", "--variety", "builtin:X", "--primes", "5..200", "--no-cache")
     assert r.returncode == 0, r.stderr
@@ -580,7 +602,7 @@ print(json.dumps(seen))
 def test_start_up_imports_no_dataclasses_fractions_or_hashlib(tmp_path):
     # records are named tuples; a builtin's cache key is a constant, so hashlib
     # (and OpenSSL's _hashlib) loads only when a custom variety meets the cache,
-    # and fractions with the first LinearMapP5
+    # and no command loads fractions
     from cfz.counting import builtin_variety
     cache = tmp_path / "c.jsonl"
     cache.write_text(json.dumps({"sha": builtin_variety("S").sha(), "name": "S", "p": 7,
@@ -597,8 +619,7 @@ def test_start_up_imports_no_dataclasses_fractions_or_hashlib(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [
         ["import", 0, []], [lines[0], 0, []], [lines[1], 0, []], [lines[2], 0, []],
-        [lines[3], 0, ["fractions"]], [lines[4], 0, ["fractions"]],
-        [lines[5], 0, ["fractions", "hashlib", "_hashlib"]]]
+        [lines[3], 0, []], [lines[4], 0, []], [lines[5], 0, ["hashlib", "_hashlib"]]]
 
 
 def test_builtin_commands_never_load_hashlib(tmp_path):

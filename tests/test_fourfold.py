@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -109,11 +108,10 @@ def _diag(*entries):
 
 
 def test_matrices_are_integer_and_normalization_is_primitive():
-    # Fractions are cleared of their denominators: (1/2) I is I
-    half = LinearMapP5(_diag(*[Fraction(1, 2)] * 6))
-    assert half.rows == identity_map().rows
-    assert LinearMapP5(_diag(Fraction(2, 3), 1, 1, 1, 1, 1)).rows == \
-        LinearMapP5(_diag(2, 3, 3, 3, 3, 3)).rows
+    # entries are Python ints only
+    for entry in (0.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="entries must be Python ints"):
+            LinearMapP5(_diag(entry, 1, 1, 1, 1, 1))
     # the primitive representative with a positive first nonzero entry
     assert LinearMapP5(_diag(-4, 6, 6, 6, 6, 6)).normalized().rows == \
         LinearMapP5(_diag(2, -3, -3, -3, -3, -3)).rows

@@ -1,20 +1,27 @@
+import math
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from cfz.grassmann import (LemmaReport, PlueckerVector, SearchBudgetError,
+from cfz.grassmann import (LemmaReport, SearchBudgetError,
                            _classify_families, canonical_coords,
                            echelon_subspaces, evaluate_relation, gaussian_binomial,
-                           grassmannian_points, is_decomposable,
-                           max_linear_subspace_dim, pluecker_relations)
+                           grassmannian_points, max_linear_subspace_dim,
+                           pluecker_relations)
 
 
-def decomposable_by_search(v):
-    """Oracle for ``is_decomposable``: membership of [v] in the enumerated
-    Pluecker image of every subspace (finite p)."""
-    assert v.p is not None and not v.is_zero
-    return canonical_coords(v.coords, v.p) in grassmannian_points(v.k, v.n, v.p)
+def _relations_vanish(k, n, coords, p):
+    return all(evaluate_relation(rel, coords, p) == 0 for rel in pluecker_relations(k, n))
+
+
+def _in_image(k, n, coords, p):
+    return canonical_coords(coords, p) in grassmannian_points(k, n, p)
+
+
+def _coords(k, n, entries):
+    """Coordinate tuple from {index set: value}, zero elsewhere."""
+    return tuple(entries.get(s, 0) for s in combinations(range(n + 1), k + 1))
 
 
 def test_relation_counts():
@@ -30,32 +37,26 @@ def test_klein_quadric_relation():
 
 
 def test_decomposable_examples():
-    assert is_decomposable(PlueckerVector(1, 3, {(0, 1): 1}))
-    assert is_decomposable(PlueckerVector(1, 3, {(0, 1): 1, (0, 2): 1}))
-    assert not is_decomposable(PlueckerVector(1, 3, {(0, 1): 1, (2, 3): 1}, p=5))
-    assert not is_decomposable(PlueckerVector(1, 3, {(0, 1): 1, (2, 3): 1}))
-    with pytest.raises(ValueError):
-        is_decomposable(PlueckerVector(1, 3, [0] * 6))
+    line = _coords(1, 3, {(0, 1): 1})
+    assert _leibniz_wedge([(1, 0, 0, 0), (0, 1, 0, 0)], 3) == list(line)
+    joined = _coords(1, 3, {(0, 1): 1, (0, 2): 1})
+    assert _leibniz_wedge([(1, 0, 0, 0), (1, 1, 1, 0)], 3) == list(joined)
+    for p in (2, 5):
+        for coords in (line, joined):
+            assert _relations_vanish(1, 3, coords, p) and _in_image(1, 3, coords, p)
 
 
 def test_rank_zero_always_decomposable():
     for coords in product(range(3), repeat=4):
         if any(coords):
-            assert is_decomposable(PlueckerVector(0, 3, coords, p=3))
-
-
-def test_frame_wedge():
-    v = PlueckerVector.from_frame(1, 3, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    assert v.coords == (1, 0, 0, 0, 0, 0)
-    w = PlueckerVector.from_frame(1, 3, [(1, 0, 0, 0), (1, 1, 1, 0)], p=5)
-    assert is_decomposable(w)
-    assert decomposable_by_search(w)
+            assert _relations_vanish(0, 3, coords, 3) and _in_image(0, 3, coords, 3)
 
 
 def test_search_oracle_rejects_sum_of_skew_lines():
-    v = PlueckerVector(1, 3, {(0, 1): 1, (2, 3): 1}, p=5)
-    assert not decomposable_by_search(v)
-    assert not is_decomposable(v)
+    skew = _coords(1, 3, {(0, 1): 1, (2, 3): 1})
+    for p in (2, 5):
+        assert not _in_image(1, 3, skew, p)
+        assert not _relations_vanish(1, 3, skew, p)
 
 
 def test_echelon_subspace_counts():
@@ -96,12 +97,26 @@ def test_grassmannian_point_counts():
     assert len(grassmannian_points(1, 4, 3)) == 1210
 
 
+def _leibniz_wedge(rows, n):
+    """The maximal minors of the rows, in the order of the sorted column
+    subsets, each as sum over permutations s of sign(s) * prod rows[i][c[s(i)]]."""
+    def sign(perm):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        return -1 if inversions % 2 else 1
+
+    d = len(rows)
+    return [sum(sign(s) * math.prod(rows[i][cols[s[i]]] for i in range(d))
+                for s in permutations(range(d)))
+            for cols in combinations(range(n + 1), d)]
+
+
 @pytest.mark.parametrize("k, n, q", [(1, 3, 2), (1, 3, 3), (1, 4, 2), (1, 4, 3),
                                      (2, 4, 2), (1, 5, 2)])
 def test_grassmannian_points_are_the_canonical_wedges(k, n, q):
-    # reference: each echelon basis wedged through PlueckerVector; the
-    # points, their bases and their order agree
-    wedges = {canonical_coords(PlueckerVector.from_frame(k, n, rows, q).coords, q): rows
+    # reference: each echelon basis wedged by the Leibniz formula, each
+    # maximal minor a signed sum over permutations; the points, their
+    # bases and their order agree
+    wedges = {canonical_coords(_leibniz_wedge(rows, n), q): rows
               for rows in echelon_subspaces(k + 1, n + 1, q)}
     assert list(grassmannian_points(k, n, q).items()) == list(wedges.items())
 
@@ -117,7 +132,7 @@ def test_max_subspace_lines_in_p4_gf2():
     assert dict(r.families) == {"pencil-through-fixed-plane": 31}
     assert len(r.witness_basis) == 4
     for row in r.witness_basis:
-        assert is_decomposable(PlueckerVector(1, 4, row, p=2))
+        assert _relations_vanish(1, 4, row, 2) and _in_image(1, 4, row, 2)
 
 
 def test_max_subspace_lines_in_p4_gf3():
