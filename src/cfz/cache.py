@@ -23,9 +23,9 @@ COUNT_METHODS, and whose sha, p and k equal the key.  Any other line is
 skipped, as if it were not there.
 
 Method.  The cache stores the method that produced each count; which
-hits count_variety serves (any method under ``auto``, only the named one
-otherwise, never a count above the ambient space) is its rule, not the
-cache's.
+hits count_variety serves (any method under ``auto``, only a generic
+count under ``generic``, never a count above the ambient space) is its
+rule, not the cache's.
 
 Each put is one os.write on a descriptor opened with O_APPEND, so lines
 from parallel runs do not interleave.

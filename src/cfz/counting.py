@@ -695,13 +695,16 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
 
     method ``auto`` picks the fibered counter for S, the convolution
     counter for every pair-sum hypersurface, and the generic oracle
-    otherwise, at every k.  A cache hit is served only under ``auto`` or when
-    its method is the one asked for, only if its count fits in the ambient
-    space, and for a builtin only if it satisfies the Weil bound; otherwise
-    the count is recomputed.  A count is appended only when the cache holds
-    no record for its key: the first record of a key is the one every
-    lookup reads, so a second could never be served.
+    otherwise, at every k; ``generic`` forces the generic oracle.  A cache
+    hit is served only under ``auto`` or when it is a generic count, only
+    if its count fits in the ambient space, and for a builtin only if it
+    satisfies the Weil bound; otherwise the count is recomputed.  A count
+    is appended only when the cache holds no record for its key: the first
+    record of a key is the one every lookup reads, so a second could never
+    be served.
     """
+    if method not in ("auto", "generic"):
+        raise ValueError(f"unknown method {method!r}")
     builtin = _builtin_name(spec)
     hit = None
     if cache is not None:
@@ -711,26 +714,17 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                 and hit.count <= _ambient_points(spec, p ** k)
                 and _fits_weil_bound(builtin, hit.count, p ** k)):
             return hit
-    is_s = builtin == "S"
-    if method == "auto":
-        if is_s:
-            method = "fibered"
-        else:
-            try:
-                pairsum_groups(spec)
-                method = "convolution"
-            except ConvolutionStructureError:
-                method = "generic"
-    if method == "fibered":
-        if not is_s:
-            raise ValueError("fibered counter is specific to the builtin surface S")
-        rec = count_S_fibered(p, k)
-    elif method == "convolution":
-        rec = count_pairsum_convolution(spec, p, k)
-    elif method == "generic":
+    if method == "auto" and builtin != "S":
+        try:
+            pairsum_groups(spec)
+        except ConvolutionStructureError:
+            method = "generic"
+    if method == "generic":
         rec = count_points_generic(spec, p ** k, budget=budget)
+    elif builtin == "S":
+        rec = count_S_fibered(p, k)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        rec = count_pairsum_convolution(spec, p, k)
     if cache is not None and hit is None:
         cache.put(sha, rec)
     return rec

@@ -25,20 +25,16 @@ import random
 from itertools import chain
 from typing import NamedTuple
 
+from .counting import builtin_variety
 from .linalg import det
-from .polynomials import Poly
+from .polynomials import Poly, parse_poly
 
 VARS6 = ("x", "u", "y", "v", "z", "w")
 
-
-def _mono(exps, c=1):
-    return Poly.monomial(6, exps, c)
-
-
-# F = x u^2 + y v^2 + z w^2 and G = x^2 u + y^2 v + z^2 w, in (x,u,y,v,z,w)
-F_FORM = _mono((1, 2, 0, 0, 0, 0)) + _mono((0, 0, 1, 2, 0, 0)) + _mono((0, 0, 0, 0, 1, 2))
-G_FORM = _mono((2, 1, 0, 0, 0, 0)) + _mono((0, 0, 2, 1, 0, 0)) + _mono((0, 0, 0, 0, 2, 1))
-CUBIC = F_FORM - G_FORM   # the fourfold equation F - G
+# S's equations F = x u^2 + y v^2 + z w^2 and G = x^2 u + y^2 v + z^2 w, in
+# (x,u,y,v,z,w), and X's equation F - G, as the counters count them
+F_FORM, G_FORM = (parse_poly(mh.to_text(), [VARS6]).poly for mh in builtin_variety("S").polys)
+CUBIC = builtin_variety("X").polys[0].poly
 
 
 class MapIdentityReport(NamedTuple):

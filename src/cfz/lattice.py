@@ -24,9 +24,6 @@ class GramMatrix2(NamedTuple):
     def h2h2(self) -> int:
         return H2_SELF_INTERSECTION
 
-    def rows(self):
-        return ((self.h2h2, self.h2T), (self.h2T, self.TT))
-
 
 def discriminant(g: GramMatrix2) -> int:
     return g.h2h2 * g.TT - g.h2T * g.h2T

@@ -45,7 +45,6 @@ class TraceRecord(NamedTuple):
     p: int
     t2: int          # trace on H^2: N1 - 1 - p^2
     residue: int     # (N1 - 1) mod p, the transcendental trace mod p
-    t_alg: int = None  # t2 - a_p once the form coefficient is known
 
 
 def trace_from_count(n1: int, p: int) -> TraceRecord:

@@ -37,9 +37,10 @@ def test_count_rejects_bad_extension(args):
 
 
 def test_count_convolution_over_gf_25():
-    # the generic count of X over GF(25)
+    # the generic count of X over GF(25), from the convolution counter
+    # that auto picks for X
     r = run_cli("count", "--variety", "builtin:X", "--primes", "5", "--ext", "2",
-                "--method", "convolution", "--no-cache")
+                "--no-cache")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"p": 5, "k": 2, "count": 420651}
 
@@ -155,6 +156,44 @@ def test_an_over_cap_prime_is_refused_before_anything_is_counted(monkeypatch, ca
     assert cli._parse_primes("1048572..1048577") == [1048573]
 
 
+def _good_primes_by_trial_division(text):
+    from cfz.fields import is_good_prime
+    spans = [(int(lo), int(hi or lo)) for lo, _, hi in
+             (token.partition("..") for token in text.split(","))]
+    return sorted({n for lo, hi in spans for n in range(lo, hi + 1) if is_good_prime(n)})
+
+
+@pytest.mark.parametrize("text, k", [
+    ("5..200", 1), ("1048570..1048577", 1), ("0..30,29,7", 1), ("1000..1024,5", 2),
+    ("90..101", 3), ("5..16", 5), ("13", 5)])
+def test_the_sieve_lists_the_good_primes(text, k):
+    # 101^3 and 16^5 = 2^20 are under the cap, so the sieve must reach
+    # the exact k-th root of the cap
+    from cfz import cli
+    assert cli._parse_primes(text, k) == _good_primes_by_trial_division(text)
+
+
+def test_the_sieve_keeps_the_refusals():
+    from cfz import cli
+    from cfz.fields import FieldError
+    with pytest.raises(cli.UsageError, match="no usable primes given"):
+        cli._parse_primes("0..4", 9)
+    with pytest.raises(FieldError, match=f"field order {5 ** 9} "):
+        cli._parse_primes("2..7", 9)
+    with pytest.raises(FieldError, match=f"field order {17 ** 5} "):
+        cli._parse_primes("5..17", 5)
+
+
+def test_a_long_range_is_sieved_not_trial_divided(monkeypatch):
+    from cfz import cli
+    calls = []
+    real = cli.is_good_prime
+    monkeypatch.setattr(cli, "is_good_prime", lambda n: calls.append(n) or real(n))
+    primes = cli._parse_primes("5..1048575")
+    assert len(primes) == 82023 and primes[-1] == 1048573
+    assert len(calls) < 1000
+
+
 def test_count_convolution_within_default_budget():
     r = run_cli("count", "--variety", "builtin:X", "--primes", "5..200", "--no-cache")
     assert r.returncode == 0, r.stderr
@@ -228,8 +267,10 @@ def test_identify_inert_only_ambiguous():
     assert json.loads(r.stdout)["match"] is None
 
 
-def test_identify_residue_override():
-    r = run_cli("identify", "--primes", "7", "--residue-override", "7:2", "--no-cache")
+def test_identify_residue_override(tmp_path):
+    path = tmp_path / "residues.json"
+    path.write_text(json.dumps([[7, 2]]))
+    r = run_cli("identify", "--residues", str(path))
     assert r.returncode == 0
     assert json.loads(r.stdout)["match"] == 1
 
@@ -363,11 +404,11 @@ def test_pluecker_refuses_past_5000_points():
 
 
 def test_verify_suites_pass():
-    r = run_cli("verify", "--suite", "identities", "--primes", "7,13", "--no-cache")
+    r = run_cli("verify", "--suite", "identities", "--primes", "7,13")
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert report["passed"] is True
-    r = run_cli("verify", "--suite", "automorphisms", "--no-cache")
+    r = run_cli("verify", "--suite", "automorphisms")
     report = json.loads(r.stdout)
     orders = {c["name"]: c["detail"].get("order")
               for s in report["suites"] for c in s["checks"]}
@@ -376,7 +417,7 @@ def test_verify_suites_pass():
 
 
 def test_verify_pluecker_suite():
-    r = run_cli("verify", "--suite", "pluecker", "--no-cache")
+    r = run_cli("verify", "--suite", "pluecker")
     assert r.returncode == 0
 
 
@@ -408,28 +449,17 @@ def test_identify_residues_file(tmp_path):
     assert json.loads(r.stdout)["match"] == 0
 
 
-@pytest.mark.parametrize("args, residues, message", [
-    (["--residue-override", "7:2"], [[7, 1], [13, 12]],
-     "--residue-override does not apply to --residues"),
-    (["--primes", "7", "--residue-override", "11:2"], None,
-     "--residue-override for p = 11, which is not in --primes"),
-    (["--primes", "7", "--residue-override", "7:2", "--residue-override", "7:4"], None,
-     "--residue-override given twice for p = 7"),
-    ([], [], "no residues given"),
-    ([], [[7, 1], [13, 12], [7, 2]], "two residues, 1 and 2, given for p = 7"),
-    (["--primes", "7", "--residue-override", "7x"], None,
-     "--residue-override '7x': expected P:R"),
-    ([], {"7": 1}, "expected a JSON list [[p, r], ...]"),
-], ids=["override-with-file", "override-outside-primes", "override-twice", "empty-file",
-        "file-conflict", "override-malformed", "file-object"])
-def test_identify_rejects_dropped_or_contradictory_input(tmp_path, args, residues, message):
+@pytest.mark.parametrize("residues, message", [
+    ([], "no residues given"),
+    ([[7, 1], [13, 12], [7, 2]], "two residues, 1 and 2, given for p = 7"),
+    ({"7": 1}, "expected a JSON list [[p, r], ...]"),
+], ids=["empty-file", "file-conflict", "file-object"])
+def test_identify_rejects_dropped_or_contradictory_input(tmp_path, residues, message):
     # each of these was once ignored, overridden silently, or reported as
     # a mathematical result
-    if residues is not None:
-        path = tmp_path / "residues.json"
-        path.write_text(json.dumps(residues))
-        args = ["--residues", str(path)] + args
-    r = run_cli("identify", *args, "--no-cache")
+    path = tmp_path / "residues.json"
+    path.write_text(json.dumps(residues))
+    r = run_cli("identify", "--residues", str(path))
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.endswith(message + "\n")
@@ -437,6 +467,25 @@ def test_identify_rejects_dropped_or_contradictory_input(tmp_path, args, residue
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--variety", "builtin:S", "--primes", "7", "--method", "fibered"],
+    ["count", "--variety", "builtin:X", "--primes", "7", "--method", "convolution"],
+    ["identify", "--primes", "7", "--residue-override", "7:2"],
+    ["identify", "--primes", "7", "--residues",
+     os.path.join(GOLDEN, "identify-twist1-residues.json")],
+    ["verify", "--suite", "pluecker", "--no-cache"],
+    ["verify", "--suite", "pluecker", "--cache", "c.jsonl"],
+], ids=["method-fibered", "method-convolution", "residue-override", "primes-and-residues",
+        "verify-no-cache", "verify-cache"])
+def test_options_the_code_decides_are_usage_errors(args, capsys):
+    # auto picks the counter, residues come from a file or from counts,
+    # and verify's suites read no cache
+    from cfz import cli
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: cfz" in err
 
 
 @pytest.mark.parametrize("name, args", [
@@ -457,8 +506,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
                          os.path.join(GOLDEN, "identify-twist1-residues.json")]),
 ])
 def test_golden_stdout(name, args):
-    # byte-for-byte stdout of the commands, frozen from an earlier release
-    r = run_cli(*args, "--no-cache")
+    # byte-for-byte stdout of the commands, frozen from an earlier release;
+    # verify takes no cache flag, since its suites call the counters directly
+    r = run_cli(*args, *(["--no-cache"] if args[0] != "verify" else []))
     assert r.returncode == 0, r.stderr
     with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8", newline="") as fh:
         assert r.stdout == fh.read()
@@ -485,7 +535,7 @@ def test_pluecker_rejects_non_prime_q(q):
 
 def test_verify_check_names_are_unique():
     # the fourfold identity is checked once, in the counts suite
-    r = run_cli("verify", "--suite", "all", "--primes", "5..13", "--no-cache")
+    r = run_cli("verify", "--suite", "all", "--primes", "5..13")
     assert r.returncode == 0, r.stderr
     names = [c["name"] for s in json.loads(r.stdout)["suites"] for c in s["checks"]]
     assert len(names) == len(set(names))
@@ -539,7 +589,7 @@ def test_cached_count_breaking_the_weil_bound_is_recomputed(tmp_path):
 def test_format_only_on_count_and_trace_table():
     for cmd in (["zeta", "--prime", "7"], ["identify", "--primes", "7"],
                 ["verify", "--suite", "forms"]):
-        r = run_cli(*cmd, "--format", "tsv", "--no-cache")
+        r = run_cli(*cmd, "--format", "tsv")
         assert r.returncode == 2, cmd
         assert "--format" in r.stderr
 
@@ -675,24 +725,22 @@ def test_rejected_cache_hit_is_not_appended(tmp_path):
 
 
 def test_hilbert_square_check_uses_the_orbit_oracle():
-    r = run_cli("verify", "--suite", "identities", "--primes", "7", "--no-cache")
+    r = run_cli("verify", "--suite", "identities", "--primes", "7")
     assert r.returncode == 0, r.stderr
     checks = {c["name"]: c for s in json.loads(r.stdout)["suites"] for c in s["checks"]}
     check = checks["hilbert-square-7"]
     assert check["passed"]
     assert check["detail"] == {"N1": 177, "N2": 3453, "count": 18630,
-                               "frobenius_fixed": 177, "conjugate_pairs": 1638,
-                               "orbit_count": 18630}
+                               "frobenius_fixed": 177, "conjugate_pairs": 1638}
 
 
 def test_identities_suite_runs_the_orbit_oracle_at_5_and_7():
-    r = run_cli("verify", "--suite", "identities", "--no-cache")
+    r = run_cli("verify", "--suite", "identities")
     assert r.returncode == 0, r.stderr
     (suite,) = json.loads(r.stdout)["suites"]
     assert [c["name"] for c in suite["checks"]] == ["hilbert-square-5", "hilbert-square-7"]
     assert suite["checks"][0]["detail"] == {"N1": 66, "N2": 1176, "count": 3096,
-                                            "frobenius_fixed": 66, "conjugate_pairs": 555,
-                                            "orbit_count": 3096}
+                                            "frobenius_fixed": 66, "conjugate_pairs": 555}
 
 
 def test_hilbert_square_check_fails_on_a_wrong_point_set(monkeypatch):
@@ -715,7 +763,7 @@ def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
     real = cmforms.eisenstein_factor
     omega = cmforms.EisensteinInt(0, 1)
     monkeypatch.setattr(cmforms, "eisenstein_factor", lambda p: -real(p) * omega)
-    code = cli.main(["verify", "--suite", "forms", "--primes", "5..13", "--no-cache"])
+    code = cli.main(["verify", "--suite", "forms", "--primes", "5..13"])
     out = capsys.readouterr().out
     assert code == 1
     report = json.loads(out)
@@ -742,7 +790,7 @@ def test_forms_suite_reports_a_count_mismatch(monkeypatch, capsys):
     real = cmforms.count_fermat_cubic
     monkeypatch.setattr(cmforms, "count_fermat_cubic",
                         lambda p: real(p)._replace(count=real(p).count + 1))
-    code = cli.main(["verify", "--suite", "forms", "--primes", "7", "--no-cache"])
+    code = cli.main(["verify", "--suite", "forms", "--primes", "7"])
     assert code == 1
     checks = {c["name"]: c for s in json.loads(capsys.readouterr().out)["suites"]
               for c in s["checks"]}
@@ -760,4 +808,4 @@ def test_forms_suite_lets_a_program_fault_through(monkeypatch):
 
     monkeypatch.setattr(cmforms, "count_fermat_cubic", broken)
     with pytest.raises(RuntimeError, match="counter fault"):
-        cli.main(["verify", "--suite", "forms", "--primes", "7", "--no-cache"])
+        cli.main(["verify", "--suite", "forms", "--primes", "7"])

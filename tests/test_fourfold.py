@@ -18,6 +18,15 @@ def test_cubic_equation_shape():
     assert CUBIC == F_FORM - G_FORM
 
 
+def test_forms_are_the_builtin_equations():
+    # the forms the symbolic checks use are the ones the counters count
+    from cfz.counting import builtin_variety
+    assert CUBIC == builtin_variety("X").polys[0].poly
+    x, u, y, v, z, w = (Poly.variable(6, i) for i in range(6))
+    assert F_FORM == x * u ** 2 + y * v ** 2 + z * w ** 2
+    assert G_FORM == x ** 2 * u + y ** 2 * v + z ** 2 * w
+
+
 def test_pfaffian_map_identity_symbolic():
     report = verify_pfaffian_map_identity()
     assert report.passed

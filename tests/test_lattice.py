@@ -10,7 +10,7 @@ def test_discriminant_values():
 
 def test_gram_matrix_shape():
     g = GramMatrix2(4, 10)
-    assert g.rows() == ((3, 4), (4, 10))
+    assert tuple(g) == (4, 10)
     assert g.h2h2 == 3
 
 

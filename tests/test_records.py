@@ -74,14 +74,14 @@ def test_to_json(name, expected):
 
 
 def test_defaults_methods_and_properties():
-    assert TraceRecord(7, 127, 1).t_alg is None
+    assert TraceRecord(7, 127, 1)._fields == ("p", "t2", "residue")
     assert LemmaReport(1, 3, 2, 1, ()).families == ()
     assert IdentificationResult(None, "no_match", (7,), {}).note == ""
     # no shared default: every caller passes its own embedding choices
     with pytest.raises(TypeError):
         IdentificationResult(None, "no_match", (7,))
     g = GramMatrix2(4, 10)
-    assert g.h2h2 == 3 and g.rows() == ((3, 4), (4, 10))
+    assert g.h2h2 == 3 and (g.h2T, g.TT) == (4, 10)
     assert LocalFactor(7, 2, (1, 13, 49)).degree == 2
 
 
