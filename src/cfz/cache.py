@@ -16,11 +16,11 @@ Staleness.  A record that another process appends after this process's
 first lookup of that sha is not seen here.  The cost is a recompute and a
 duplicate line, which the first-record rule tolerates.
 
-Malformed records.  A line is served only if it decodes to a JSON object
-whose sha, name and method are strings, whose p, k and count are integers
-(not booleans) with k >= 1 and count >= 0, whose method is one of
-COUNT_METHODS, and whose sha, p and k equal the key.  Any other line is
-skipped, as if it were not there.
+Malformed records.  A line is served only if it is UTF-8 and decodes to a
+JSON object whose sha, name and method are strings, whose p, k and count
+are integers (not booleans) with k >= 1 and count >= 0, whose method is
+one of COUNT_METHODS, and whose sha, p and k equal the key.  Any other
+line is skipped, as if it were not there.
 
 Method.  The cache stores the method that produced each count; which
 hits count_variety serves (any method under ``auto``, only a generic
@@ -43,11 +43,11 @@ def cache_path() -> str:
     return os.environ.get("CFZ_CACHE", DEFAULT_CACHE_PATH)
 
 
-def _decode_record(line: str, sha: str):
+def _decode_record(line: bytes, sha: str):
     """The CountRecord of a well-formed cache line for sha, None otherwise."""
     try:
-        d = json.loads(line)
-    except json.JSONDecodeError:
+        d = json.loads(line.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
         return None
     if not isinstance(d, dict) or d.get("sha") != sha:
         return None
@@ -73,13 +73,14 @@ class CountCache:
 
     def _load(self, sha: str) -> dict:
         index = {}
+        key = sha.encode()
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            fh = open(self.path, "rb")
         except FileNotFoundError:
             return index
         with fh:
             for line in fh:
-                if sha not in line:
+                if key not in line:
                     continue
                 rec = _decode_record(line, sha)
                 if rec is not None:

@@ -13,23 +13,17 @@ import math
 import sys
 from itertools import product
 
-from . import grassmann, lattice
-from .cache import CountCache
-from .cmforms import (CountMismatchError, ap_base, ap_via_eisenstein,
-                      identify_form, fermat_comparison)
-from .counting import (CountBudgetError, VarietySpec,
-                       builtin_variety, count_variety, count_S_fibered,
-                       count_pairsum_convolution, count_fermat_cubic,
-                       count_points_generic, points_on_variety, smoothness_scan,
-                       pairsum_groups, group_value_histogram)
-from .fields import (MAX_FIELD_ORDER, check_field_order, check_good_prime, field_of_order,
-                     is_good_prime, is_prime)
-from .fourfold import (automorphism_subgroup, identity_map, pair_shear_generator,
-                       pair_swap_generator, random_map_identity_check,
-                       verify_pfaffian_map_identity)
-from .zeta import (algebraic_trace_split, assemble_fourfold_factors,
-                   fourfold_count_from_surface, hilbert_square_count,
-                   reconstruct_count, residue_zero_check, trace_from_count)
+from . import _lazy
+
+# bound once here; each module's code runs when a command first reads it
+cmforms = _lazy("cmforms")
+count_cache = _lazy("cache")
+counting = _lazy("counting")
+fields = _lazy("fields")
+fourfold = _lazy("fourfold")
+grassmann = _lazy("grassmann")
+lattice = _lazy("lattice")
+zeta = _lazy("zeta")
 
 
 class UsageError(Exception):
@@ -50,16 +44,16 @@ def _parse_primes(text: str, k: int = 1):
         if dots:
             spans.append((int(lo), int(hi)))
         elif lo:
-            check_good_prime(int(lo))
+            fields.check_good_prime(int(lo))
             spans.append((int(lo), int(lo)))
     # the largest n with n^k under the cap: the float root can be one off
-    root = int(MAX_FIELD_ORDER ** (1 / k)) + 1
-    while root ** k > MAX_FIELD_ORDER:
+    root = int(fields.MAX_FIELD_ORDER ** (1 / k)) + 1
+    while root ** k > fields.MAX_FIELD_ORDER:
         root -= 1
     # the first prime of each span with p^k over the cap
-    over = [next((n for n in range(max(lo, root + 1), hi + 1) if is_good_prime(n)), None)
-            for lo, hi in spans]
-    check_field_order(min(filter(None, over), default=1) ** k)
+    over = [next((n for n in range(max(lo, root + 1), hi + 1) if fields.is_good_prime(n)),
+                 None) for lo, hi in spans]
+    fields.check_field_order(min(filter(None, over), default=1) ** k)
     top = max(4, min(max((hi for _, hi in spans), default=0), root))
     sieve = bytearray([1]) * (top + 1)
     for n in range(2, math.isqrt(top) + 1):
@@ -72,14 +66,16 @@ def _parse_primes(text: str, k: int = 1):
     return sorted(primes)
 
 
-def _load_variety(selector: str) -> VarietySpec:
+def _load_variety(selector: str):
+    # no return annotation: evaluating counting.VarietySpec would load the
+    # counting stack when cli is imported
     if selector.startswith("builtin:"):
         name = selector.split(":", 1)[1]
         try:
-            return builtin_variety(name)
+            return counting.builtin_variety(name)
         except KeyError as e:
             raise UsageError(str(e)) from None
-    return VarietySpec.from_file(selector)
+    return counting.VarietySpec.from_file(selector)
 
 
 def _emit_json(obj):
@@ -90,11 +86,11 @@ def cmd_count(args):
     if args.ext < 1:
         raise UsageError(f"--ext must be at least 1, got {args.ext}")
     spec = _load_variety(args.variety)
-    cache = None if args.no_cache else CountCache(args.cache)
+    cache = None if args.no_cache else count_cache.CountCache(args.cache)
     rows = []
     for p in _parse_primes(args.primes, args.ext):
-        rec = count_variety(spec, p, k=args.ext, method=args.method,
-                            budget=args.budget, cache=cache)
+        rec = counting.count_variety(spec, p, k=args.ext, method=args.method,
+                                     budget=args.budget, cache=cache)
         rows.append(rec)
     if args.format == "json":
         for rec in rows:
@@ -107,14 +103,14 @@ def cmd_count(args):
 
 
 def cmd_trace_table(args):
-    cache = None if args.no_cache else CountCache(args.cache)
-    spec = builtin_variety("S")
+    cache = None if args.no_cache else count_cache.CountCache(args.cache)
+    spec = counting.builtin_variety("S")
     rows = []
     all_match = True
     for p in _parse_primes(args.primes):
-        n1 = count_variety(spec, p, cache=cache).count
-        tr = trace_from_count(n1, p)
-        ap = ap_base(p)
+        n1 = counting.count_variety(spec, p, cache=cache).count
+        tr = zeta.trace_from_count(n1, p)
+        ap = cmforms.ap_base(p)
         match = ap % p == tr.residue
         all_match &= match
         rows.append((p, n1, tr.residue, ap, match))
@@ -132,11 +128,10 @@ def cmd_trace_table(args):
 def _load_residues(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, list) and all(isinstance(x, list) and len(x) == 2 for x in data):
-        try:
-            return [(int(p), int(r)) for p, r in data]
-        except (TypeError, ValueError):
-            pass
+    # integers only: bool is an int subclass, and int() would truncate 2.5
+    if isinstance(data, list) and all(isinstance(x, list) and len(x) == 2
+                                      and all(type(v) is int for v in x) for x in data):
+        return [(p, r) for p, r in data]
     raise UsageError(f"{path}: expected a JSON list [[p, r], ...]")
 
 
@@ -144,11 +139,11 @@ def cmd_identify(args):
     if args.residues:
         residues = _load_residues(args.residues)
     else:
-        cache = None if args.no_cache else CountCache(args.cache)
-        spec = builtin_variety("S")
-        residues = [(p, (count_variety(spec, p, cache=cache).count - 1) % p)
+        cache = None if args.no_cache else count_cache.CountCache(args.cache)
+        spec = counting.builtin_variety("S")
+        residues = [(p, (counting.count_variety(spec, p, cache=cache).count - 1) % p)
                     for p in _parse_primes(args.primes)]
-    result = identify_form(residues)
+    result = cmforms.identify_form(residues)
     report = result.to_json()
     report["status"] = result.status
     report["residues"] = [[p, r] for p, r in sorted(residues)]
@@ -158,23 +153,23 @@ def cmd_identify(args):
 
 def cmd_zeta(args):
     p = args.prime
-    check_good_prime(p)
+    fields.check_good_prime(p)
     if args.ns_fixed is None and p % 3 != 1:
         raise UsageError(
             f"p = {p} is 2 mod 3: the algebraic eigenvalue pattern is not "
             "determined by counts; pass --ns-fixed explicitly")
-    cache = None if args.no_cache else CountCache(args.cache)
-    spec = builtin_variety("S")
-    n1 = count_variety(spec, p, cache=cache).count
-    tr = trace_from_count(n1, p)
-    ap = ap_base(p)
+    cache = None if args.no_cache else count_cache.CountCache(args.cache)
+    spec = counting.builtin_variety("S")
+    n1 = counting.count_variety(spec, p, cache=cache).count
+    tr = zeta.trace_from_count(n1, p)
+    ap = cmforms.ap_base(p)
     if args.ns_fixed is not None:
         ns_fixed = args.ns_fixed
     else:
-        ns_fixed = algebraic_trace_split(tr.t2, ap, p) // p
-    factors = assemble_fourfold_factors(p, ap, ns_fixed)
-    reconstructed = reconstruct_count(factors)
-    direct = count_pairsum_convolution(builtin_variety("X"), p).count
+        ns_fixed = zeta.algebraic_trace_split(tr.t2, ap, p) // p
+    factors = zeta.assemble_fourfold_factors(p, ap, ns_fixed)
+    reconstructed = zeta.reconstruct_count(factors)
+    direct = counting.count_pairsum_convolution(counting.builtin_variety("X"), p).count
     _emit_json({
         "p": p, "N1": n1, "a_p": ap, "ns_fixed": ns_fixed,
         "factors": [f.to_json() for f in factors],
@@ -224,31 +219,31 @@ KNOWN_S_COUNTS = {7: 177, 13: 429, 19: 753, 31: 1536, 37: 2157}
 
 def _suite_counts(primes):
     checks = []
-    fib = {p: count_S_fibered(p, 1).count for p in primes}
+    fib = {p: counting.count_S_fibered(p, 1).count for p in primes}
     for p in primes:
         if p in KNOWN_S_COUNTS:
             checks.append((f"surface-count-table-p{p}", fib[p] == KNOWN_S_COUNTS[p],
                            {"count": fib[p], "expected": KNOWN_S_COUNTS[p]}))
-    S = builtin_variety("S")
+    S = counting.builtin_variety("S")
     for p in [q for q in primes if q <= 13]:
-        gen = count_points_generic(S, p).count
+        gen = counting.count_points_generic(S, p).count
         checks.append((f"surface-fibered-vs-generic-p{p}", gen == fib[p],
                        {"generic": gen, "fibered": fib[p]}))
-    X = builtin_variety("X")
+    X = counting.builtin_variety("X")
     for p in primes:
-        conv = count_pairsum_convolution(X, p).count
-        pred = fourfold_count_from_surface(fib[p], p)
+        conv = counting.count_pairsum_convolution(X, p).count
+        pred = zeta.fourfold_count_from_surface(fib[p], p)
         checks.append((f"fourfold-identity-p{p}", conv == pred,
                        {"convolution": conv, "from_surface": pred}))
-    fermat7 = count_fermat_cubic(7).count
+    fermat7 = counting.count_fermat_cubic(7).count
     checks.append(("fermat-count-7", fermat7 == 3690, {"count": fermat7}))
-    _, groups = pairsum_groups(X)
+    _, groups = counting.pairsum_groups(X)
     for p in [q for q in primes if q <= 13]:
-        ok = all(sum(group_value_histogram(t, v, p)) == p ** len(v)
+        ok = all(sum(counting.group_value_histogram(t, v, p)) == p ** len(v)
                  for v, t in groups)
         checks.append((f"histogram-conservation-p{p}", ok, {}))
     for p in [q for q in primes if q <= 13]:
-        sing = smoothness_scan(S, p)
+        sing = counting.smoothness_scan(S, p)
         checks.append((f"smoothness-partial-p{p}", not sing,
                        {"singular_rational_points": len(sing),
                         "note": "rational points only; partial evidence"}))
@@ -266,9 +261,9 @@ def _hilbert_square_orbit_check(p):
     count (N1^2 + N2)/2 + p N1 is the number of these exactly when every
     point is fixed or in one conjugate pair and the fixed points are the
     rational points the fibered counter counts, which is what is checked."""
-    n1 = count_S_fibered(p, 1).count
-    pts = points_on_variety(builtin_variety("S"), p * p)
-    field = field_of_order(p * p)
+    n1 = counting.count_S_fibered(p, 1).count
+    pts = counting.points_on_variety(counting.builtin_variety("S"), p * p)
+    field = fields.field_of_order(p * p)
     frobenius = [field.pow(e, p) for e in range(field.order)]
     index = {pt: i for i, pt in enumerate(pts)}
     fixed = conjugate_pairs = 0
@@ -278,7 +273,7 @@ def _hilbert_square_orbit_check(p):
         conjugate_pairs += i < j
     # these orbits also make N1^2 + N2 even, as the formula needs
     orbits_ok = fixed + 2 * conjugate_pairs == len(pts) and fixed == n1
-    hs = hilbert_square_count(n1, len(pts), p) if orbits_ok else None
+    hs = zeta.hilbert_square_count(n1, len(pts), p) if orbits_ok else None
     return (f"hilbert-square-{p}", orbits_ok,
             {"N1": n1, "N2": len(pts), "count": hs, "frobenius_fixed": fixed,
              "conjugate_pairs": conjugate_pairs})
@@ -288,25 +283,26 @@ def _suite_forms(primes):
     checks = []
     # each split prime where the ring route and the Cornacchia route disagree
     disagree = [{"p": p, "ap_via_eisenstein": ring, "ap_base": base}
-                for p in range(5, 201) if is_prime(p) and p % 3 == 1
-                for ring, base in [(ap_via_eisenstein(p), ap_base(p))] if ring != base]
+                for p in range(5, 201) if fields.is_prime(p) and p % 3 == 1
+                for ring, base in [(cmforms.ap_via_eisenstein(p), cmforms.ap_base(p))]
+                if ring != base]
     checks.append(("dual-oracle-split-primes-200", not disagree,
                    {"disagree": disagree} if disagree else {}))
-    ok = all(abs(ap_base(p)) <= 2 * p for p in range(5, 201) if is_prime(p))
+    ok = all(abs(cmforms.ap_base(p)) <= 2 * p for p in range(5, 201) if fields.is_prime(p))
     checks.append(("hasse-bound-200", ok, {}))
     residues = []
     for p in primes:
-        n1 = count_S_fibered(p, 1).count
+        n1 = counting.count_S_fibered(p, 1).count
         if p % 3 == 2:
-            checks.append((f"residue-zero-p{p}", residue_zero_check(p, n1), {"N1": n1}))
+            checks.append((f"residue-zero-p{p}", zeta.residue_zero_check(p, n1), {"N1": n1}))
         residues.append((p, (n1 - 1) % p))
-    result = identify_form(residues)
+    result = cmforms.identify_form(residues)
     checks.append(("identify-base-form", result.match == 0 and result.status == "unique",
                    result.to_json()))
     for p in [q for q in primes if q % 3 == 1]:
         try:
-            checks.append((f"fermat-comparison-p{p}", fermat_comparison(p), {}))
-        except CountMismatchError as e:  # surfaces both counts
+            checks.append((f"fermat-comparison-p{p}", cmforms.fermat_comparison(p), {}))
+        except cmforms.CountMismatchError as e:  # surfaces both counts
             checks.append((f"fermat-comparison-p{p}", False, {"error": str(e)}))
     return checks
 
@@ -343,16 +339,17 @@ def _suite_pluecker(_primes):
 
 def _suite_automorphisms(_primes):
     checks = []
-    rep = verify_pfaffian_map_identity()
+    rep = fourfold.verify_pfaffian_map_identity()
     checks.append(("pfaffian-map-identity", rep.passed,
                    {"residual_terms": len(rep.residual_terms)}))
-    checks.append(("pfaffian-map-random-points", random_map_identity_check(), {}))
-    one = automorphism_subgroup([pair_swap_generator(0), pair_shear_generator(0)])
+    checks.append(("pfaffian-map-random-points", fourfold.random_map_identity_check(), {}))
+    swap, shear = fourfold.pair_swap_generator, fourfold.pair_shear_generator
+    one = fourfold.automorphism_subgroup([swap(0), shear(0)])
     checks.append(("automorphisms-one-pair", one.order == 6, {"order": one.order}))
-    gens = [f(i) for i in range(3) for f in (pair_swap_generator, pair_shear_generator)]
-    three = automorphism_subgroup(gens)
+    gens = [f(i) for i in range(3) for f in (swap, shear)]
+    three = fourfold.automorphism_subgroup(gens)
     checks.append(("automorphisms-three-pairs", three.order == 216, {"order": three.order}))
-    ident = automorphism_subgroup([identity_map()])
+    ident = fourfold.automorphism_subgroup([fourfold.identity_map()])
     checks.append(("automorphisms-identity", ident.order == 1, {"order": ident.order}))
     return checks
 
@@ -465,7 +462,11 @@ def main(argv=None) -> int:
     except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (UsageError, CountBudgetError, ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    # a clause of its own, so that a usage error does not load counting
+    except counting.CountBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -137,14 +137,14 @@ def test_count_past_the_field_order_cap_is_refused(args):
 def test_an_over_cap_prime_is_refused_before_anything_is_counted(monkeypatch, capsys):
     # the refusal names the least over-cap order, as counting in ascending
     # order did, and comes before any range is enumerated or counted
-    from cfz import cli
+    from cfz import cli, counting
 
     def counter(*args, **kwargs):
         pytest.fail("a counter ran")
 
     for name in ("count_variety", "count_S_fibered", "count_pairsum_convolution",
                  "count_points_generic", "count_fermat_cubic"):
-        monkeypatch.setattr(cli, name, counter)
+        monkeypatch.setattr(counting, name, counter)
     for line, q in (("count --variety builtin:S --primes 1048573,1048583 --no-cache", 1048583),
                     ("count --variety builtin:S --primes 5..2000000 --no-cache", 1048583),
                     ("trace-table --primes 2000003,1048583..1048600,7 --no-cache", 1048583),
@@ -185,10 +185,10 @@ def test_the_sieve_keeps_the_refusals():
 
 
 def test_a_long_range_is_sieved_not_trial_divided(monkeypatch):
-    from cfz import cli
+    from cfz import cli, fields
     calls = []
-    real = cli.is_good_prime
-    monkeypatch.setattr(cli, "is_good_prime", lambda n: calls.append(n) or real(n))
+    real = fields.is_good_prime
+    monkeypatch.setattr(fields, "is_good_prime", lambda n: calls.append(n) or real(n))
     primes = cli._parse_primes("5..1048575")
     assert len(primes) == 82023 and primes[-1] == 1048573
     assert len(calls) < 1000
@@ -466,6 +466,18 @@ def test_identify_rejects_dropped_or_contradictory_input(tmp_path, residues, mes
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("residues", [[[7, 2.5]], [[7, True]], [["7", 2]], [[7.0, 2]]],
+                         ids=["float-residue", "bool-residue", "string-prime", "float-prime"])
+def test_identify_rejects_entries_that_are_not_integers(tmp_path, residues):
+    # int() once read these as [[7, 2]] and identified the form from them
+    path = tmp_path / "residues.json"
+    path.write_text(json.dumps(residues))
+    r = run_cli("identify", "--residues", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {path}: expected a JSON list [[p, r], ...]\n"
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -636,6 +648,38 @@ def test_numpy_loads_only_for_numpy_kernels(tmp_path):
         [line, 0, line == lines[-1]] for line in lines]
 
 
+MODULE_PROBE = """
+import contextlib, io, json, sys, types
+import cfz.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cfz.cli.main(sys.argv[1:])
+# a submodule not yet read is still the lazy placeholder, not a plain module
+print(json.dumps([code, sorted(name[4:] for name, m in sys.modules.items()
+                               if name.startswith("cfz.") and type(m) is types.ModuleType)]))
+"""
+
+
+@pytest.mark.parametrize("line, exit_code, loaded, not_loaded", [
+    ("lattice --d 14", 0, {"cli", "lattice"}, None),
+    ("lattice --h2t 1", 2, {"cli"}, None),
+    ("pluecker --k 1 --n 3 --q 2", 0, {"cli", "fields", "grassmann", "linalg"}, None),
+    ("count --variety builtin:S --primes 7 --no-cache", 0, None,
+     {"cmforms", "fourfold", "grassmann", "lattice"}),
+    ("verify --suite automorphisms", 0, None, {"cmforms", "grassmann"}),
+], ids=["lattice", "usage-error", "pluecker", "count", "verify-automorphisms"])
+def test_a_command_runs_only_the_cfz_modules_it_uses(line, exit_code, loaded, not_loaded):
+    # one fresh process per command, since a module once run stays loaded
+    r = subprocess.run([sys.executable, "-c", MODULE_PROBE, *line.split()],
+                       capture_output=True, text=True, env=BASE_ENV)
+    assert r.returncode == 0, r.stderr
+    code, ran = json.loads(r.stdout)
+    assert code == exit_code
+    if loaded is not None:
+        assert set(ran) == loaded
+    if not_loaded is not None:
+        assert not set(ran) & not_loaded, ran
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import cfz, cfz.cli
@@ -707,6 +751,22 @@ def test_malformed_cache_record_is_never_served(tmp_path, bad):
     assert r.stdout == run_cli("zeta", "--prime", "7", "--no-cache").stdout
 
 
+def test_a_cache_line_that_is_not_utf8_is_skipped(tmp_path):
+    # such a line once stopped every lookup of the file with a decode error
+    from cfz.counting import builtin_variety
+    sha = builtin_variety("S").sha().encode()
+    garbage = [b"\xff\xfe garbage", b'{"sha": "' + sha + b'", "name": "\xff"}']
+    cache = tmp_path / "c.jsonl"
+    cache.write_bytes(b"".join(line + b"\n" for line in garbage))
+    r = run_cli("count", "--variety", "builtin:S", "--primes", "7", "--cache", str(cache))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"p": 7, "k": 1, "count": 177}
+    *kept, appended = cache.read_bytes().splitlines()
+    assert kept == garbage
+    assert json.loads(appended) == {"sha": sha.decode(), "name": "S", "p": 7, "k": 1,
+                                    "count": 177, "method": "fibered"}
+
+
 def test_rejected_cache_hit_is_not_appended(tmp_path):
     # the first record of a key is the one every lookup reads, so a count
     # recomputed after rejecting it (here: another method asked for) is
@@ -746,10 +806,10 @@ def test_identities_suite_runs_the_orbit_oracle_at_5_and_7():
 def test_hilbert_square_check_fails_on_a_wrong_point_set(monkeypatch):
     # a point set that is not closed under Frobenius, or whose fixed points
     # are not the rational points, fails the check whatever N2 it implies
-    from cfz import cli
-    real = cli.points_on_variety
+    from cfz import cli, counting
+    real = counting.points_on_variety
     for perturb in (lambda pts: pts[:-1], lambda pts: pts + pts[:1]):
-        monkeypatch.setattr(cli, "points_on_variety",
+        monkeypatch.setattr(counting, "points_on_variety",
                             lambda spec, q, perturb=perturb: perturb(real(spec, q)))
         name, passed, _ = cli._hilbert_square_orbit_check(7)
         assert name == "hilbert-square-7" and not passed
