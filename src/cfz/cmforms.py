@@ -22,8 +22,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .counting import builtin_variety, count_fermat_cubic, count_pairsum_convolution
-from .fields import check_good_prime
+from . import counting  # lazy (see __init__): runs when fermat_comparison reads it
 
 
 class CountMismatchError(ArithmeticError):
@@ -85,9 +84,8 @@ class EisensteinInt:
 
 
 def _check_split_prime(p):
-    check_good_prime(p)
     if p % 3 != 1:
-        raise ValueError(f"{p} is an inert prime (2 mod 3)")
+        raise ValueError(f"{p} is not 1 mod 3")
 
 
 class CornacchiaSolution(namedtuple("CornacchiaSolution", "p L M")):
@@ -115,7 +113,6 @@ def cornacchia_4p(p: int) -> CornacchiaSolution:
 
 def ap_base(p: int) -> int:
     """Coefficient of the base form: 0 at inert primes, (L^2 - 27 M^2)/2 at split ones."""
-    check_good_prime(p)
     if p % 3 == 2:
         return 0
     sol = cornacchia_4p(p)
@@ -208,7 +205,6 @@ def identify_form(residues) -> IdentificationResult:
     """
     given = {}
     for p, r in residues:
-        check_good_prime(p)
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p = {p}")
         if given.setdefault(p, r) != r:
@@ -217,7 +213,7 @@ def identify_form(residues) -> IdentificationResult:
         raise ValueError("no residues given")
     pairs = sorted(given.items())
     primes = tuple(p for p, _ in pairs)
-    ap = {p: ap_base(p) for p in primes if p % 3 == 1}
+    ap = {p: ap_base(p) for p in primes if p % 3 != 2}  # ap_base refuses p = 0 mod 3
 
     def survives(idx, embedding_of):
         return all(r == 0 if p % 3 == 2 else
@@ -249,8 +245,8 @@ def fermat_comparison(p: int) -> bool:
     isomorphic over GF(p), so their counts must agree."""
     if p % 3 != 1:
         raise ValueError(f"{p} is not 1 mod 3; the comparison needs a split prime")
-    fermat = count_fermat_cubic(p).count
-    ours = count_pairsum_convolution(builtin_variety("X"), p).count
+    fermat = counting.count_fermat_cubic(p).count
+    ours = counting.count_pairsum_convolution(counting.builtin_variety("X"), p).count
     if fermat != ours:
         raise CountMismatchError(
             f"p = {p}: Fermat count {fermat} != pair-sum count {ours}")

@@ -73,7 +73,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .fields import (check_good_prime, enumerate_projective, field_of_order,
+from .fields import (check_prime, enumerate_projective, field_of_order,
                      field_tables, projective_cardinality)
 from .linalg import det
 from .polynomials import MultiHomPoly, Poly, parse_poly
@@ -441,10 +441,7 @@ def _tile_zeros(values, right, p, times, buffers):
 
 
 def _ambient_points(spec, q) -> int:
-    total = 1
-    for n in spec.ambient:
-        total *= projective_cardinality(q, n)
-    return total
+    return math.prod(projective_cardinality(q, n) for n in spec.ambient)
 
 
 def _check_budget(spec, q, budget):
@@ -528,8 +525,10 @@ def count_S_fibered(p: int, k: int = 1) -> CountRecord:
     F(c) = sum_z chi(z) chi(c + z^3).  F(0) = q - 1 and F(l^6 c) = F(c)
     (put z = l^2 z'), so F(g^s) is summed once for each class s mod
     gcd(6, q - 1), in logs."""
-    check_good_prime(p)
+    check_prime(p)
     q = p ** k
+    if p == 2:
+        raise ValueError(f"fibered counter needs odd q, got {q}")
     powers, _, zech, chi = field_tables(field_of_order(q))
     n = q - 1
     d = math.gcd(6, n)
@@ -624,7 +623,7 @@ def count_pairsum_convolution(spec: VarietySpec, p: int, k: int = 1) -> CountRec
     constant on the classes of GF(q)* modulo e-th powers,
     e = gcd(degree, q - 1), so a convolution is summed at 0 and at
     g^0, ..., g^(e - 1) only."""
-    check_good_prime(p)
+    check_prime(p)
     q = p ** k
     mh, groups = pairsum_groups(spec)
     tables = field_tables(field_of_order(q))
@@ -693,9 +692,9 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                   budget=None, cache=None) -> CountRecord:
     """Count with method dispatch and optional cache.
 
-    method ``auto`` picks the fibered counter for S, the convolution
-    counter for every pair-sum hypersurface, and the generic oracle
-    otherwise, at every k; ``generic`` forces the generic oracle.  A cache
+    method ``auto`` picks the fibered counter for S at odd p, the
+    convolution counter for every pair-sum hypersurface, and the generic
+    oracle otherwise; ``generic`` forces the generic oracle.  A cache
     hit is served only under ``auto`` or when it is a generic count, only
     if its count fits in the ambient space, and for a builtin only if it
     satisfies the Weil bound; otherwise the count is recomputed.  A count
@@ -714,7 +713,7 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
                 and hit.count <= _ambient_points(spec, p ** k)
                 and _fits_weil_bound(builtin, hit.count, p ** k)):
             return hit
-    if method == "auto" and builtin != "S":
+    if method == "auto" and (builtin != "S" or p == 2):
         try:
             pairsum_groups(spec)
         except ConvolutionStructureError:

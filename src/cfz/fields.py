@@ -1,21 +1,20 @@
 """Exact arithmetic in GF(p) and GF(p^k) on integer encodings, the
 lookup tables the counters use, and projective point enumeration.
 
-Fields of characteristic 2 and 3 are rejected at construction: the
-root-counting kernel below needs odd field order, and 3 is the bad prime
-of every identity downstream.  ``is_good_prime`` and ``check_good_prime``
-are the one statement of that rule for the whole package.
+Every prime is a characteristic here: which primes a variety has good
+reduction at, and which fields a counter can count over, are stated by
+``zeta`` and by each counter, not by the fields.
 
 GF(p^k) is GF(p)[x]/(m) for the lexicographically first monic
 irreducible m of degree k (see ``find_irreducible``), so that every
 count is reproducible across runs.  An element is only ever its integer
 encoding e = sum(c_i * p^i) in [0, p^k) of the coefficients c_i of its
-residue class; since p >= 5, the small constants 0 to 4 encode as
-themselves.  One rule on encodings (``FiniteField.add``, ``neg``,
-``mul`` and ``pow``) does all arithmetic.  From it ``field_tables``
-builds, on first use, four lists of about q entries: the powers of a
-generator g of GF(q)*, their discrete logs, the Zech logs log(1 + g^i)
-and the quadratic character, on which mul, add and neg are O(1)
+residue class, so the constants 0 to p - 1 encode as themselves.  One
+rule on encodings (``FiniteField.add``, ``neg``, ``mul`` and ``pow``)
+does all arithmetic.  From it ``field_tables`` builds, on first use,
+four lists of about q entries: the powers of a generator g of GF(q)*,
+their discrete logs, the Zech logs log(1 + g^i) and the quadratic
+character, on which mul, add and neg are O(1)
 lookups; no table of q^2 entries is built.  The same rule, in the
 quotient ring GF(p)[x]/(f), also decides whether a modulus f is
 irreducible (``_is_irreducible``).  ``FiniteField(p, k)`` and
@@ -53,17 +52,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_good_prime(p: int) -> bool:
-    """Primes >= 5: characteristic 2 and 3 are excluded throughout."""
-    return p >= 5 and is_prime(p)
-
-
-def check_good_prime(p: int):
-    """Raise FieldError unless p is a good prime."""
+def check_prime(p: int):
+    """Raise FieldError unless p is prime."""
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    if p < 5:
-        raise FieldError(f"bad prime {p}: characteristic 2 and 3 are excluded")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +119,7 @@ def find_irreducible(p: int, k: int) -> tuple:
     GF(p) has a linear factor, so the root test rejects it before
     ``_is_irreducible``, which confirms the survivors, runs.
     """
-    check_good_prime(p)
+    check_prime(p)
     if k < 1:
         raise FieldError(f"extension degree must be >= 1, got {k}")
     if k == 1:
@@ -143,7 +135,7 @@ def find_irreducible(p: int, k: int) -> tuple:
 # fields
 
 class FiniteField:
-    """GF(p^k) as GF(p)[x]/(modulus), p >= 5, for the modulus
+    """GF(p^k) as GF(p)[x]/(modulus), p any prime, for the modulus
     ``find_irreducible(p, k)`` (x itself for k = 1).
 
     ``add``, ``neg``, ``mul`` and ``pow`` are the field's arithmetic on
@@ -229,14 +221,12 @@ def check_field_order(q: int):
 
 @lru_cache(maxsize=None)
 def field_of_order(q: int):
-    """The field with q = p^k elements, p >= 5.
+    """The field with q = p^k elements.
 
     Built once per q and process: for k >= 2 the build scans for the
     modulus, and a field is immutable, so every caller can share it.
     q > MAX_FIELD_ORDER is refused before q is factored."""
     check_field_order(q)
-    if q < 5:
-        raise FieldError(f"field order {q} not supported (char 2 and 3 excluded)")
     primes = _prime_divisors(q)
     if len(primes) != 1:
         raise FieldError(f"{q} is not a prime power")
@@ -250,7 +240,8 @@ class FieldTables(NamedTuple):
     """The arithmetic of one field on encodings, from lists of length q - 1
     or q built from a generator g of GF(q)*: powers[i] = g^i, log its
     inverse on the nonzero encodings, zech[i] = log(1 + g^i) (-1 where
-    1 + g^i = 0), and chi the quadratic character.  mul, add and neg are
+    1 + g^i = 0), and chi the quadratic character (1 on every nonzero
+    element for even q, where all are squares).  mul, add and neg are
     O(1) lookups in them."""
 
     powers: list
@@ -272,9 +263,9 @@ class FieldTables(NamedTuple):
         return 0 if z < 0 else self.powers[(i + z) % n]
 
     def neg(self, a):
-        """-1 = g^((q - 1)/2)."""
+        """-1 = g^((q - 1)/2) for odd q, and -1 = 1 for even q."""
         n = len(self.powers)
-        return a and self.powers[(self.log[a] + n // 2) % n]
+        return a if n % 2 else a and self.powers[(self.log[a] + n // 2) % n]
 
 
 def _generator(field):
@@ -299,7 +290,7 @@ def field_tables(field) -> FieldTables:
     for i, e in enumerate(powers):
         log[e] = i
     zech = [log[s] if (s := field.add(1, e)) else -1 for e in powers]
-    chi = [0] + [1 - 2 * (log[a] & 1) for a in range(1, q)]
+    chi = [0] + [1 - 2 * (log[a] & 1 & q) for a in range(1, q)]
     return FieldTables(powers, log, zech, chi)
 
 
@@ -308,7 +299,8 @@ def field_tables(field) -> FieldTables:
 
 def quadratic_root_count(a: int, b: int, c: int, tables: FieldTables) -> int:
     """Number of projective zeros of a*U^2 + b*UV + c*V^2 on P^1(F_q), for
-    encodings a, b, c and the field's table set.
+    encodings a, b, c and the table set of a field of characteristic p >= 5,
+    where 4 encodes 4.
 
     Identically zero forms contribute the whole line, q + 1 points;
     otherwise the count is 1 + chi(b^2 - 4ac).

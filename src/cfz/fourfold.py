@@ -21,7 +21,6 @@ nonzero entries of the rows its variables map to.
 
 import math
 import operator
-import random
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,21 +54,6 @@ def verify_pfaffian_map_identity() -> MapIdentityReport:
     substituted polynomial collapses to F*G^2*F - F^2*G*G = 0."""
     residual = pfaffian_map_substitution()
     return MapIdentityReport(residual.is_zero, tuple(residual.sorted_terms()))
-
-
-def random_map_identity_check(trials: int = 100, p: int = 101, seed: int = 0) -> bool:
-    """Numeric shadow of the symbolic identity: evaluate the map at random
-    points mod p and plug into the equation, without expanding anything."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pt = [rng.randrange(p) for _ in range(6)]
-        f = F_FORM.evaluate(pt, mod=p)
-        g = G_FORM.evaluate(pt, mod=p)
-        x, u, y, v, z, w = pt
-        image = [x * f, u * g, y * f, v * g, z * f, w * g]
-        if CUBIC.evaluate(image, mod=p) != 0:
-            return False
-    return True
 
 
 class LinearMapP5:

@@ -20,14 +20,14 @@ the inert primes 2 mod 3, where a_p = 0 and the factor is 1 - p^4 T^2.
 Everything is exact integer arithmetic; there are no floating-point
 eigenvalues anywhere.
 
-Bad primes (2 and 3) are rejected throughout; their factors are out of
-scope and never guessed.
+S, X and the Fermat cubic have good reduction at every prime but 3;
+``local_factor_cm`` refuses 3, so no factor there is ever guessed.
 """
 
 from collections import namedtuple
 from typing import NamedTuple
 
-from .fields import check_good_prime
+from .fields import check_prime
 
 K3_B2 = 22          # second Betti number of a K3 surface
 NS_RANK = 20        # Picard rank of the singular surface S
@@ -49,7 +49,6 @@ class TraceRecord(NamedTuple):
 
 def trace_from_count(n1: int, p: int) -> TraceRecord:
     """Lefschetz: N1 = 1 + t2 + p^2 for a K3 surface, with |t2| <= 22p."""
-    check_good_prime(p)
     t2 = n1 - 1 - p * p
     if abs(t2) > K3_B2 * p:
         raise InconsistentCountError(
@@ -59,7 +58,6 @@ def trace_from_count(n1: int, p: int) -> TraceRecord:
 
 def residue_zero_check(p: int, n1: int) -> bool:
     """For inert primes the transcendental trace vanishes mod p."""
-    check_good_prime(p)
     if p % 3 != 2:
         raise ValueError(f"{p} is not 2 mod 3")
     return (n1 - 1) % p == 0
@@ -73,7 +71,6 @@ def hilbert_square_count(n1: int, n2: int, p: int) -> int:
     exceptional line.  N1^2 + N2 must be even; an odd value cannot come
     from Frobenius-stable pair counting.
     """
-    check_good_prime(p)
     if (n1 * n1 + n2) % 2 != 0:
         raise ValueError(f"N1^2 + N2 = {n1 * n1 + n2} is odd; inconsistent pair counts")
     return (n1 * n1 + n2) // 2 + p * n1
@@ -81,7 +78,6 @@ def hilbert_square_count(n1: int, n2: int, p: int) -> int:
 
 def fourfold_count_from_surface(n1: int, p: int) -> int:
     """#X(F_p) = 1 + p^2 + p^4 + p*N1 from the middle-cohomology decomposition."""
-    check_good_prime(p)
     return 1 + p * p + p ** 4 + p * n1
 
 
@@ -89,7 +85,6 @@ def algebraic_trace_split(t2: int, a_p: int, p: int) -> int:
     """Split the H^2 trace as t2 = t_alg + a_p; t_alg must be p times the
     number of fixed minus flipped classes of NS(S), an integer of absolute
     value at most 20 and of the parity of 20."""
-    check_good_prime(p)
     t_alg = t2 - a_p
     if t_alg % p != 0:
         raise InconsistentCountError(
@@ -139,7 +134,9 @@ def _chi_minus3(p: int) -> int:
 def local_factor_cm(a_p: int, p: int, tate_shift: int) -> LocalFactor:
     """Degree-2 factor of the CM form, 1 - a_p T + chi_{-3}(p) p^2 T^2, with
     each Tate shift multiplying the inverse roots by p."""
-    check_good_prime(p)
+    check_prime(p)
+    if p == 3:
+        raise ValueError("bad prime 3")
     if abs(a_p) > 2 * p:
         raise ValueError(f"|a_p| = {abs(a_p)} violates the weight-3 bound 2p = {2 * p}")
     if tate_shift not in (0, 1):
@@ -211,7 +208,6 @@ def _ns_split(ns_fixed: int):
 
 def assemble_fourfold_factors(p: int, a_p: int, ns_fixed: int):
     """Local factors P0, P2, P4, P6, P8 of the fourfold at a good prime."""
-    check_good_prime(p)
     m_plus, m_minus = _ns_split(ns_fixed)
     p2 = p * p
     quad = [1]

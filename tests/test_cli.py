@@ -157,10 +157,10 @@ def test_an_over_cap_prime_is_refused_before_anything_is_counted(monkeypatch, ca
 
 
 def _good_primes_by_trial_division(text):
-    from cfz.fields import is_good_prime
+    from cfz.fields import is_prime
     spans = [(int(lo), int(hi or lo)) for lo, _, hi in
              (token.partition("..") for token in text.split(","))]
-    return sorted({n for lo, hi in spans for n in range(lo, hi + 1) if is_good_prime(n)})
+    return sorted({n for lo, hi in spans for n in range(max(lo, 5), hi + 1) if is_prime(n)})
 
 
 @pytest.mark.parametrize("text, k", [
@@ -187,8 +187,8 @@ def test_the_sieve_keeps_the_refusals():
 def test_a_long_range_is_sieved_not_trial_divided(monkeypatch):
     from cfz import cli, fields
     calls = []
-    real = fields.is_good_prime
-    monkeypatch.setattr(fields, "is_good_prime", lambda n: calls.append(n) or real(n))
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or real(n))
     primes = cli._parse_primes("5..1048575")
     assert len(primes) == 82023 and primes[-1] == 1048573
     assert len(calls) < 1000
@@ -666,7 +666,12 @@ print(json.dumps([code, sorted(name[4:] for name, m in sys.modules.items()
     ("count --variety builtin:S --primes 7 --no-cache", 0, None,
      {"cmforms", "fourfold", "grassmann", "lattice"}),
     ("verify --suite automorphisms", 0, None, {"cmforms", "grassmann"}),
-], ids=["lattice", "usage-error", "pluecker", "count", "verify-automorphisms"])
+    # identify_form on given residues counts nothing
+    ("identify --residues " + os.path.abspath(
+        os.path.join(GOLDEN, "identify-twist1-residues.json")), 0,
+     {"cli", "cmforms", "fields"}, None),
+], ids=["lattice", "usage-error", "pluecker", "count", "verify-automorphisms",
+        "identify-residues"])
 def test_a_command_runs_only_the_cfz_modules_it_uses(line, exit_code, loaded, not_loaded):
     # one fresh process per command, since a module once run stays loaded
     r = subprocess.run([sys.executable, "-c", MODULE_PROBE, *line.split()],
@@ -846,9 +851,9 @@ def test_forms_suite_reports_a_wrong_ring_route(monkeypatch, capsys):
 def test_forms_suite_reports_a_count_mismatch(monkeypatch, capsys):
     # the Fermat and pair-sum counts disagreeing is the mathematics
     # disagreeing: a failed check with both counts, and exit 1
-    from cfz import cli, cmforms
-    real = cmforms.count_fermat_cubic
-    monkeypatch.setattr(cmforms, "count_fermat_cubic",
+    from cfz import cli, counting
+    real = counting.count_fermat_cubic
+    monkeypatch.setattr(counting, "count_fermat_cubic",
                         lambda p: real(p)._replace(count=real(p).count + 1))
     code = cli.main(["verify", "--suite", "forms", "--primes", "7"])
     assert code == 1
@@ -861,11 +866,11 @@ def test_forms_suite_reports_a_count_mismatch(monkeypatch, capsys):
 
 def test_forms_suite_lets_a_program_fault_through(monkeypatch):
     # a fault in a counter is not a failed check
-    from cfz import cli, cmforms
+    from cfz import cli, counting
 
     def broken(p):
         raise RuntimeError("counter fault")
 
-    monkeypatch.setattr(cmforms, "count_fermat_cubic", broken)
+    monkeypatch.setattr(counting, "count_fermat_cubic", broken)
     with pytest.raises(RuntimeError, match="counter fault"):
         cli.main(["verify", "--suite", "forms", "--primes", "7"])

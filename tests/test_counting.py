@@ -629,10 +629,47 @@ def test_convolution_with_inactive_variable():
 
 
 def test_bad_characteristic_rejected():
-    with pytest.raises(ValueError):
-        count_pairsum_convolution(X, 3)
-    with pytest.raises(Exception):
-        count_points_generic(S, 3)
+    # the fibered counter's quadratic character needs odd q: over GF(2^k)
+    # it would count 20, 66 and 114 where S has 21, 105 and 129 points
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"needs odd q, got {2 ** k}"):
+            count_S_fibered(2, k)
+    # a prime power is no characteristic, for either structured counter
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_S_fibered(25)
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_pairsum_convolution(X, 25)
+
+
+# counts over GF(2^k), k <= 4, and GF(3^k), k <= 2, from the generic oracle
+SMALL_CHAR_COUNTS = {
+    "S": {(2, 1): 21, (2, 2): 105, (2, 3): 129, (2, 4): 609, (3, 1): 34, (3, 2): 154},
+    "X": {(2, 1): 63, (2, 2): 693, (2, 3): 5193, (2, 4): 75537, (3, 1): 193, (3, 2): 8029},
+    "fermat": {(2, 1): 31, (2, 2): 693, (2, 3): 4681, (2, 4): 75537, (3, 1): 121,
+               (3, 2): 7381},
+}
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_counts_in_characteristic_2_and_3(p, k):
+    # fields take every prime: the generic oracle counts all three builtins,
+    # the convolution counter agrees with it on X and the Fermat cubic (with
+    # -1 = 1 in characteristic 2), and the fibered counter on S at p = 3
+    for name, counts in SMALL_CHAR_COUNTS.items():
+        spec = builtin_variety(name)
+        assert count_points_generic(spec, p ** k).count == counts[p, k], name
+        if name != "S":
+            assert count_pairsum_convolution(spec, p, k).count == counts[p, k], name
+    if p == 3:
+        assert count_S_fibered(3, k).count == SMALL_CHAR_COUNTS["S"][3, k]
+    # auto sends S at p = 2, which the fibered counter refuses, to the generic oracle
+    rec = count_variety(S, p, k)
+    assert (rec.count, rec.method) == (SMALL_CHAR_COUNTS["S"][p, k],
+                                       "generic" if p == 2 else "fibered")
+
+
+def test_fibered_counter_over_gf27():
+    assert count_S_fibered(3, 3).count == count_points_generic(S, 27).count == 946
 
 
 def test_points_on_variety_satisfy_equations():

@@ -11,12 +11,17 @@ from cfz.fields import (FieldError, FiniteField, _is_irreducible,
                         projective_points, quadratic_root_count)
 
 GOOD_PRIMES = [5, 7, 11, 13]
+# fields of characteristic 2 and 3, which the counters use over GF(2^k) and GF(3^k)
+SMALL_CHAR = [2, 3, 4, 8, 9, 16, 27]
 
 
 def _chi(field, a):
-    """Euler's criterion: 0 on zero, a^((q-1)/2) = +1 or -1 otherwise."""
+    """Euler's criterion: 0 on zero, a^((q-1)/2) = +1 or -1 otherwise;
+    for even q every element is a square."""
     if not a:
         return 0
+    if field.order % 2 == 0:
+        return 1
     return 1 if field.pow(a, (field.order - 1) // 2) == 1 else -1
 
 
@@ -24,12 +29,14 @@ def _inverse(field, a):
     return field.pow(a, field.order - 2)
 
 
-def test_rejects_characteristic_2_and_3():
-    for p in (2, 3):
-        with pytest.raises(FieldError):
-            FiniteField(p)
-    with pytest.raises(FieldError):
-        FiniteField(9)  # not prime
+def test_builds_fields_of_characteristic_2_and_3():
+    # every prime is a characteristic; which primes a variety or a counter
+    # refuses is stated there, not here
+    assert [FiniteField(p).order for p in (2, 3)] == [2, 3]
+    assert find_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
+    assert find_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1
+    with pytest.raises(FieldError, match="9 is not prime"):
+        FiniteField(9)
 
 
 def test_field_of_order():
@@ -39,11 +46,11 @@ def test_field_of_order():
 
 
 @pytest.mark.parametrize("q, want", [
-    (4, "field order 4 not supported"),
-    (8, "bad prime 2"),
-    (9, "bad prime 3"),
+    (4, (2, 2)),
+    (8, (2, 3)),
+    (9, (3, 2)),
     (10, "10 is not a prime power"),
-    (27, "bad prime 3"),
+    (27, (3, 3)),
     (121, (11, 2)),
     (125, (5, 3)),
     (343, (7, 3)),
@@ -106,7 +113,7 @@ def _full_tables(field):
 
 # the table set the counters use agrees with the field's arithmetic on
 # single encodings, and chi with Euler's criterion, at every pair
-@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125])
+@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125] + SMALL_CHAR)
 def test_table_methods_follow_the_field_rule(q):
     field = field_of_order(q)
     tables = field_tables(field)
@@ -124,7 +131,7 @@ def test_table_methods_follow_the_field_rule(q):
 
 # GF(121) and GF(125) search a generator in an extension and add on two and
 # three base-p digits
-@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125])
+@pytest.mark.parametrize("q", GOOD_PRIMES + [25, 49, 121, 125] + SMALL_CHAR)
 def test_field_axioms_exhaustive(q):
     field = field_of_order(q)
     mul, add = _full_tables(field)

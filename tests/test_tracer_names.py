@@ -4,9 +4,15 @@ from outside the package; every name it wraps must still resolve."""
 import importlib
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def _load_tracer():
@@ -64,3 +70,23 @@ def test_work_counts_read_the_counters_real_arguments(monkeypatch):
     work = tracer_module.work_counts(tracer.work_args)
     assert sorted(work) == ["fibers", "generic_evals", "generic_max_cells", "group_evals"]
     assert all(type(v) is int and v > 0 for v in work.values())
+
+
+@pytest.mark.parametrize("line", [
+    "count --variety builtin:S --ext 2 --primes 5,7 --method generic --no-cache",
+    "verify --suite all --primes 5..13",
+], ids=["count-generic", "verify-all"])
+def test_a_traced_oracle_command_writes_its_trace(tmp_path, line):
+    # the benchmark's traced oracle-verify run: the tracer opens its output
+    # before work_counts reads the counters' arguments, so any exception
+    # there leaves an empty trace, which the benchmark cannot load
+    out = tmp_path / "trace.json"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, TRACER, str(out), *line.split()],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path, "CFZ_CACHE": os.devnull})
+    assert r.returncode == 0, r.stderr
+    with open(out, encoding="utf-8") as fh:
+        trace = json.load(fh)
+    assert any(span[0] == "cli.main" for span in trace["spans"])
+    assert trace["work"]["generic_evals"] > 0

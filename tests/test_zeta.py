@@ -99,6 +99,17 @@ def test_fourfold_count_identity():
         assert fourfold_count_from_surface(n1, p) == 1 + p + p ** 2 + p ** 3 + p ** 4
 
 
+def test_count_identities_check_nothing_about_p():
+    # #X = 1 + p^2 + p^4 + p #S over GF(2) and GF(3) as well, and 2 is a
+    # prime of good reduction, where f's factor is 1 - 4 T^2
+    assert fourfold_count_from_surface(21, 2) == 63
+    assert fourfold_count_from_surface(34, 3) == 193
+    assert trace_from_count(21, 2).t2 == 16
+    assert local_factor_cm(0, 2, 0) == LocalFactor(2, 2, (1, 0, -4))
+    with pytest.raises(ValueError, match="bad prime 3"):
+        local_factor_cm(0, 3, 0)
+
+
 def test_fourfold_identity_against_convolution():
     X = builtin_variety("X")
     for p in (5, 7, 11, 13):
@@ -199,8 +210,10 @@ def test_assemble_rejects_inconsistent_ns():
         assemble_fourfold_factors(7, -13, 21)   # parity
     with pytest.raises(ValueError):
         assemble_fourfold_factors(7, -13, 22)   # rank
-    with pytest.raises(ValueError):
-        assemble_fourfold_factors(6, -13, 20)   # bad prime
+    with pytest.raises(ValueError, match="6 is not prime"):
+        assemble_fourfold_factors(6, -13, 20)
+    with pytest.raises(ValueError, match="bad prime 3"):
+        assemble_fourfold_factors(3, 0, 20)     # the one bad prime
 
 
 def test_assemble_rejects_an_ap_past_the_weil_bound():
