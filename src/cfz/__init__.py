@@ -22,7 +22,7 @@ _MODULE_NAMES = {
                 "count_variety points_on_variety",
     "fields": "FiniteField enumerate_projective field_of_order field_tables "
               "find_irreducible quadratic_root_count",
-    "fourfold": "LinearMapP5 automorphism_subgroup verify_pfaffian_map_identity",
+    "fourfold": "automorphism_subgroup pfaffian_map_substitution",
     "grassmann": "max_linear_subspace_dim pluecker_relations",
     "lattice": "GramMatrix2 associated_k3_degree discriminant special_admissible",
     "polynomials": "MultiHomPoly Poly parse_poly",

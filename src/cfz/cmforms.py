@@ -23,6 +23,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from . import counting  # lazy (see __init__): runs when fermat_comparison reads it
+from .fields import check_prime
 
 
 class CountMismatchError(ArithmeticError):
@@ -84,6 +85,7 @@ class EisensteinInt:
 
 
 def _check_split_prime(p):
+    check_prime(p)
     if p % 3 != 1:
         raise ValueError(f"{p} is not 1 mod 3")
 
@@ -113,6 +115,7 @@ def cornacchia_4p(p: int) -> CornacchiaSolution:
 
 def ap_base(p: int) -> int:
     """Coefficient of the base form: 0 at inert primes, (L^2 - 27 M^2)/2 at split ones."""
+    check_prime(p)
     if p % 3 == 2:
         return 0
     sol = cornacchia_4p(p)
@@ -181,7 +184,6 @@ class IdentificationResult(NamedTuple):
     status: str           # unique | ambiguous | no_match
     checked_primes: tuple
     embedding_choices: dict
-    note: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -205,6 +207,7 @@ def identify_form(residues) -> IdentificationResult:
     """
     given = {}
     for p, r in residues:
+        check_prime(p)
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p = {p}")
         if given.setdefault(p, r) != r:
@@ -222,22 +225,12 @@ def identify_form(residues) -> IdentificationResult:
                    for p, r in pairs)
 
     matches = [idx for idx in (0, 1, 2) if survives(idx, omega_embeddings)]
+    if set(matches) == {1, 2}:
+        matches = [i for i in (1, 2) if survives(i, lambda p: [declared_embedding(p)])] or matches
     embeddings = {p: declared_embedding(p) for p in primes if p % 3 == 1}
-
     if len(matches) == 1:
         return IdentificationResult(matches[0], "unique", primes, embeddings)
-    if set(matches) == {1, 2}:
-        declared = [idx for idx in (1, 2) if survives(idx, lambda p: [declared_embedding(p)])]
-        if len(declared) == 1:
-            return IdentificationResult(
-                declared[0], "unique", primes, embeddings,
-                note="twists 1 and 2 separated by the declared embedding convention")
-        return IdentificationResult(None, "ambiguous", primes, embeddings,
-                                    note="conjugate twists indistinguishable")
-    if matches:
-        return IdentificationResult(None, "ambiguous", primes, embeddings,
-                                    note="ambiguous, supply more primes")
-    return IdentificationResult(None, "no_match", primes, embeddings)
+    return IdentificationResult(None, "ambiguous" if matches else "no_match", primes, embeddings)
 
 
 def fermat_comparison(p: int) -> bool:

@@ -372,7 +372,7 @@ def _zero_cells(spec, field, mul):
     the block order and the budget."""
     import numpy as np
 
-    q, p, k = field.order, field.char, field.degree
+    q, p, k = field.order, field.p, field.k
     n0, *later = spec.ambient
     total0 = projective_cardinality(q, n0)
     n1 = math.prod(projective_cardinality(q, n) for n in later)
@@ -478,7 +478,7 @@ def count_points_generic(spec: VarietySpec, q: int, budget=None) -> CountRecord:
     field = field_of_order(q)
     _check_budget(spec, q, budget)
     count = sum(len(cells) for cells in _zero_cells(spec, field, _array_mul(field)))
-    return CountRecord(spec.name, field.char, field.degree, count, "generic")
+    return CountRecord(spec.name, field.p, field.k, count, "generic")
 
 
 def _rational_points(spec: VarietySpec, q: int, budget, extra=()):
@@ -603,7 +603,7 @@ def group_value_histogram(terms, var_idx, q: int):
     for point in enumerate_projective(q, len(var_idx) - 1):
         w = 0
         for exps, c in terms:
-            t = c % field.char
+            t = c % field.p
             for x, i in zip(point, var_idx):
                 for _ in range(exps[i]):
                     t = tables.mul(t, x)
@@ -700,10 +700,12 @@ def count_variety(spec: VarietySpec, p: int, k: int = 1, method: str = "auto",
     satisfies the Weil bound; otherwise the count is recomputed.  A count
     is appended only when the cache holds no record for its key: the first
     record of a key is the one every lookup reads, so a second could never
-    be served.
+    be served.  A p that is not prime is refused (``FieldError``) before
+    the cache is read.
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}")
+    check_prime(p)
     builtin = _builtin_name(spec)
     hit = None
     if cache is not None:

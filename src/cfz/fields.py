@@ -149,14 +149,6 @@ class FiniteField:
         self.p, self.k, self.modulus = p, k, find_irreducible(p, k)
 
     @property
-    def char(self):
-        return self.p
-
-    @property
-    def degree(self):
-        return self.k
-
-    @property
     def order(self):
         return self.p ** self.k
 

@@ -4,9 +4,8 @@
 algebra.  ``det`` expands along the first row over any commutative ring
 the package uses, Python ints or ``polynomials.Poly``, with no division;
 a 2 x 2 matrix, such as a Pluecker coordinate of a line, is computed
-directly.  The Pluecker coordinates of ``grassmann``, the invertibility
-check of ``fourfold.LinearMapP5`` and the Jacobian minors of
-``counting.smoothness_scan`` all use it.  ``rref`` and ``nullspace``
+directly.  The Pluecker coordinates of ``grassmann`` and the Jacobian
+minors of ``counting.smoothness_scan`` use it.  ``rref`` and ``nullspace``
 compute mod a prime p and serve the subspace dimensions of
 ``grassmann`` over GF(2) and GF(3).
 """

@@ -23,7 +23,6 @@ Repeated variables add their exponents and like terms add, so the text
 may cancel to zero.
 """
 
-import math
 import re
 
 
@@ -146,14 +145,6 @@ class Poly:
                 e[i] -= 1
                 out[tuple(e)] = out.get(tuple(e), 0) + c * exps[i]
         return Poly(self.nvars, out)
-
-    def evaluate(self, values, mod=None):
-        """Evaluate at integers, reduced mod ``mod`` when one is given."""
-        if len(values) != self.nvars:
-            raise ValueError("evaluation needs one value per variable")
-        total = sum(c * math.prod(x ** e for x, e in zip(values, exps))
-                    for exps, c in self.terms.items())
-        return total if mod is None else total % mod
 
     def sorted_terms(self):
         return sorted(self.terms.items())

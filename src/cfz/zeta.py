@@ -109,10 +109,6 @@ class LocalFactor(namedtuple("LocalFactor", "p weight coeffs")):
             raise ValueError("local factor must have constant term 1")
         return super().__new__(cls, p, weight, coeffs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def to_json(self) -> dict:
         return {"p": self.p, "weight": self.weight, "coeffs": list(self.coeffs)}
 

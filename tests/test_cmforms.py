@@ -9,9 +9,10 @@ from cfz.cmforms import (CornacchiaSolution, EisensteinInt, IdentificationResult
                          declared_embedding, eisenstein_factor, fermat_comparison,
                          identify_form, omega_embeddings)
 from cfz.counting import count_S_fibered
-from cfz.fields import is_prime
+from cfz.fields import FieldError, is_prime
 
 SPLIT_200 = [p for p in range(5, 201) if is_prime(p) and p % 3 == 1]
+TIE_BROKEN = "twists 1 and 2 separated by the declared embedding convention"
 TABLE_RESIDUES = [(7, 1), (13, 12), (19, 11), (31, 16), (37, 10)]
 
 ZERO, ONE, OMEGA = EisensteinInt(0, 0), EisensteinInt(1, 0), EisensteinInt(0, 1)
@@ -46,7 +47,8 @@ def reduce_eisenstein(x, p, z):
 def reference_identify(residues):
     """Candidate matching as done in Z[omega]: reduce each twisted
     coefficient at every embedding, then break the conjugate tie by the
-    declared embedding."""
+    declared embedding.  Returns the result and the name of the branch
+    that gave it."""
     pairs = sorted(dict(residues).items())
     primes = tuple(p for p, _ in pairs)
 
@@ -64,19 +66,18 @@ def reference_identify(residues):
     matches = [idx for idx in (0, 1, 2) if survives(idx, omega_embeddings)]
     embeddings = {p: declared_embedding(p) for p in primes if p % 3 == 1}
     if len(matches) == 1:
-        return IdentificationResult(matches[0], "unique", primes, embeddings)
+        return IdentificationResult(matches[0], "unique", primes, embeddings), "one match"
     if set(matches) == {1, 2}:
         declared = [idx for idx in (1, 2) if survives(idx, lambda p: [declared_embedding(p)])]
         if len(declared) == 1:
-            return IdentificationResult(
-                declared[0], "unique", primes, embeddings,
-                note="twists 1 and 2 separated by the declared embedding convention")
-        return IdentificationResult(None, "ambiguous", primes, embeddings,
-                                    note="conjugate twists indistinguishable")
+            return (IdentificationResult(declared[0], "unique", primes, embeddings),
+                    TIE_BROKEN)
+        return (IdentificationResult(None, "ambiguous", primes, embeddings),
+                "conjugate twists indistinguishable")
     if matches:
-        return IdentificationResult(None, "ambiguous", primes, embeddings,
-                                    note="ambiguous, supply more primes")
-    return IdentificationResult(None, "no_match", primes, embeddings)
+        return (IdentificationResult(None, "ambiguous", primes, embeddings),
+                "ambiguous, supply more primes")
+    return IdentificationResult(None, "no_match", primes, embeddings), "no match"
 
 
 def test_eisenstein_ring_axioms_small():
@@ -145,6 +146,21 @@ def test_ap_base_values():
     assert ap_base(2) == 0
     with pytest.raises(ValueError, match="3 is not 1 mod 3"):
         ap_base(3)
+
+
+def test_a_p_that_is_not_prime_is_bad_input():
+    # FieldError (bad input, exit 2), not the ArithmeticError of a failed
+    # Cornacchia search (exit 1), and checked before the inert shortcut,
+    # which would give a_8 = 0
+    for p in (1, 4, 8, 25):
+        with pytest.raises(FieldError, match=f"{p} is not prime"):
+            ap_base(p)
+        with pytest.raises(FieldError, match=f"{p} is not prime"):
+            identify_form([(p, 0)])
+    for split_check in (cornacchia_4p, eisenstein_factor):
+        with pytest.raises(FieldError, match="25 is not prime"):
+            split_check(25)
+    assert not issubclass(FieldError, ArithmeticError)
 
 
 def test_dual_oracle_agreement_up_to_200():
@@ -261,7 +277,7 @@ def test_identify_round_trips_twists_under_declared_embedding():
             residues.append((p, reduce_eisenstein(twisted_ap(p, idx), p, z)))
         result = identify_form(residues)
         assert result.match == idx, (idx, residues, result)
-        assert result == reference_identify(residues)
+        assert (result, TIE_BROKEN) == reference_identify(residues)
 
 
 def test_identify_input_validation():
@@ -285,11 +301,11 @@ def test_fermat_comparison():
 
 
 GOOD_PRIMES = [p for p in range(5, 80) if is_prime(p)]
-TIE_BROKEN = "twists 1 and 2 separated by the declared embedding convention"
+# each outcome of the identification with the reference route's branch
 OUTCOMES = {
-    (0, "unique", ""), (1, "unique", TIE_BROKEN), (2, "unique", TIE_BROKEN),
+    (0, "unique", "one match"), (1, "unique", TIE_BROKEN), (2, "unique", TIE_BROKEN),
     (None, "ambiguous", "conjugate twists indistinguishable"),
-    (None, "ambiguous", "ambiguous, supply more primes"), (None, "no_match", ""),
+    (None, "ambiguous", "ambiguous, supply more primes"), (None, "no_match", "no match"),
 }
 
 
@@ -326,6 +342,7 @@ def test_identify_matches_the_reference_route_on_seeded_residues():
     for _ in range(1500):
         residues = _seeded_residues(rng)
         result = identify_form(residues)
-        assert result == reference_identify(residues), residues
-        seen.add((result.match, result.status, result.note))
+        expected, branch = reference_identify(residues)
+        assert result == expected, residues
+        seen.add((result.match, result.status, branch))
     assert seen == OUTCOMES

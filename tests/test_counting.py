@@ -19,6 +19,7 @@ from cfz.counting import (ConvolutionStructureError, CountBudgetError,
                           points_on_variety, smoothness_scan)
 from cfz.fields import (FieldError, enumerate_projective, field_of_order, field_tables,
                         is_prime, quadratic_root_count)
+from polyref import evaluate
 
 S = builtin_variety("S")
 X = builtin_variety("X")
@@ -437,7 +438,7 @@ def _table_histogram(terms, var_idx, q):
     for assign in product(range(q), repeat=len(var_idx)):
         value = 0
         for exps, c in terms:
-            t = c % field.char
+            t = c % field.p
             for x, i in zip(assign, var_idx):
                 t = tables.mul(t, power(x, exps[i]))
             value = tables.add(value, t)
@@ -457,8 +458,8 @@ def test_convolution_equals_the_row_reference(spec):
                          ids=lambda v: getattr(v, "name", v))
 def test_convolution_equals_generic_over_extensions(spec, q, request):
     field = field_of_order(q)
-    got = count_pairsum_convolution(spec, field.char, field.degree)
-    assert (got.p, got.k) == (field.char, field.degree)
+    got = count_pairsum_convolution(spec, field.p, field.k)
+    assert (got.p, got.k) == (field.p, field.k)
     expected = (request.getfixturevalue("x_over_25_count") if spec is X
                 else count_points_generic(spec, q).count)
     assert got.count == expected
@@ -503,7 +504,7 @@ def test_homogeneity_bridge_affine_vs_projective():
     for p in (5, 7, 11):
         affine = sum(
             1 for vals in product(range(p), repeat=3)
-            if mh.poly.evaluate(list(vals), mod=p) == 0)
+            if evaluate(mh.poly, list(vals), mod=p) == 0)
         proj = count_points_generic(spec, p).count
         assert (affine - 1) % (p - 1) == 0
         assert (affine - 1) // (p - 1) == proj
@@ -583,6 +584,26 @@ def test_fibered_counter_refuses_a_prime_power(tmp_path):
     with pytest.raises(FieldError, match="25 is not prime"):
         count_variety(S, 25, cache=cache)
     assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_count_variety_refuses_a_prime_power_on_every_path(tmp_path):
+    # the generic oracle counts over GF(q) for any prime power q, so without
+    # a check of its own count_variety would return the GF(25) count under
+    # the key p = 25, and would serve a cached record of that key
+    triple = VarietySpec.from_dict(
+        {"name": "triple", "ambient": [2], "vars": [["a", "b", "c"]],
+         "polys": ["a*b*c"]})
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_variety(S, 25, method="generic")
+    with pytest.raises(FieldError, match="25 is not prime"):
+        count_variety(triple, 25)
+    path = tmp_path / "c.jsonl"
+    cache = CountCache(str(path))
+    cache.put(S.sha(), counting.CountRecord("S", 25, 1, 1176, "generic"))
+    for method in ("auto", "generic"):
+        with pytest.raises(FieldError, match="25 is not prime"):
+            count_variety(S, 25, method=method, cache=cache)
+    assert len(path.read_text().splitlines()) == 1
 
 
 def test_convolution_counter_is_charged_its_group_assignments(monkeypatch):
@@ -677,7 +698,7 @@ def test_points_on_variety_satisfy_equations():
     assert len(pts) == 177
     for pt in pts:
         for mh in S.polys:
-            assert mh.poly.evaluate(pt, mod=7) == 0
+            assert evaluate(mh.poly, pt, mod=7) == 0
         # canonical normalization: leading coordinate of each block is 1
         for blk in (pt[:3], pt[3:]):
             assert next(e for e in blk if e) == 1

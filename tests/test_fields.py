@@ -61,7 +61,7 @@ def test_field_of_order_factors_q(q, want):
             field_of_order(q)
     else:
         field = field_of_order(q)
-        assert (field.char, field.degree, field.order) == (*want, q)
+        assert (field.p, field.k, field.order) == (*want, q)
 
 
 def test_field_of_order_is_built_once_per_order(monkeypatch):

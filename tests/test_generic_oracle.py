@@ -68,7 +68,7 @@ def _reference_points(spec, q):
     encodings of all blocks, in the order of the product enumeration."""
     field = field_of_order(q)
     add, mul = lru_cache(maxsize=None)(field.add), lru_cache(maxsize=None)(field.mul)
-    equations = [[(exps, c % field.char) for exps, c in mh.poly.sorted_terms()]
+    equations = [[(exps, c % field.p) for exps, c in mh.poly.sorted_terms()]
                  for mh in spec.polys]
     top = max((max(exps) for terms in equations for exps, _ in terms), default=0)
     found = []
@@ -213,7 +213,7 @@ def _evaluate(poly, point, field):
     """The encoding of poly at a point of encodings, term by term."""
     acc = 0
     for exps, c in poly.terms.items():
-        t = c % field.char
+        t = c % field.p
         for x, e in zip(point, exps):
             if e:
                 t = field.mul(t, field.pow(x, e))

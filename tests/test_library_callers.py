@@ -1,6 +1,7 @@
 """Code that only tests run leaves the library: every top-level function
 and class of ``src/cfz`` is read somewhere in the package outside its own
-definition, unless the benchmark's tracer wraps it by name."""
+definition, unless the benchmark's tracer wraps it by name, and so is
+every method, property and annotated field of a top-level class."""
 
 import ast
 import glob
@@ -40,6 +41,33 @@ def unread_definitions(texts):
     return defined - reads
 
 
+def unread_members(texts):
+    """The non-dunder methods, properties and annotated (NamedTuple) fields
+    of the top-level classes of the modules, as "Class.member", whose name
+    no Attribute load in any of them reads, apart from the loads inside
+    the member's own definition."""
+    trees = [ast.parse(text) for text in texts]  # alive while ids are compared
+    members = []  # (qualified name, member name, ids of its definition's nodes)
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.append((f"{cls.name}.{name}", name,
+                                    {id(node) for node in ast.walk(stmt)}))
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    return {qualified for qualified, name, own in members
+            if not any(node.attr == name and id(node) not in own for node in loads)}
+
+
 def _package_sources():
     texts = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
@@ -71,3 +99,19 @@ def test_every_definition_has_a_caller_in_the_package():
     traced = _traced_names()
     assert sorted(unread - traced) == [], "no caller in src/cfz: delete these"
     assert unread == PINNED
+
+
+def test_the_member_scan_finds_a_member_only_its_own_body_reads():
+    texts = ["from typing import NamedTuple\n\n"
+             "class R(NamedTuple):\n    used: int\n    unused: str = ''\n\n"
+             "class C:\n    def __init__(self):\n        self.n = 0\n\n"
+             "    def step(self):\n        return self.step() if self.n else self.size\n\n"
+             "    @property\n    def size(self):\n        return 1\n\n"
+             "    def shown(self):\n        return R(1).used\n",
+             "from .a import C\n\nprint(C().shown(), shown)\n"]
+    assert unread_members(texts) == {"R.unused", "C.step"}
+
+
+def test_every_class_member_has_a_caller_in_the_package():
+    assert sorted(unread_members(_package_sources())) == [], \
+        "no reader in src/cfz: delete these"

@@ -8,7 +8,7 @@ import sys
 
 import cfz
 
-# the names `cfz` exported when it imported every module eagerly
+# the names `cfz` exports, by the module that defines them
 EXPORTED = {
     "cache": ["CountCache"],
     "cmforms": ["CornacchiaSolution", "EisensteinInt", "ap_base", "ap_via_eisenstein",
@@ -18,7 +18,7 @@ EXPORTED = {
                  "count_variety", "points_on_variety"],
     "fields": ["FiniteField", "enumerate_projective", "field_of_order", "field_tables",
                "find_irreducible", "quadratic_root_count"],
-    "fourfold": ["LinearMapP5", "automorphism_subgroup", "verify_pfaffian_map_identity"],
+    "fourfold": ["automorphism_subgroup", "pfaffian_map_substitution"],
     "grassmann": ["max_linear_subspace_dim", "pluecker_relations"],
     "lattice": ["GramMatrix2", "associated_k3_degree", "discriminant", "special_admissible"],
     "polynomials": ["MultiHomPoly", "Poly", "parse_poly"],

@@ -5,7 +5,6 @@ import pytest
 
 from cfz.cmforms import CornacchiaSolution, IdentificationResult
 from cfz.counting import CountRecord
-from cfz.fourfold import GroupReport, MapIdentityReport, identity_map
 from cfz.grassmann import LemmaReport
 from cfz.lattice import GramMatrix2
 from cfz.zeta import CohomologyDecomposition, LocalFactor, TraceRecord
@@ -16,8 +15,6 @@ RECORDS = {
     "CountRecord": lambda: CountRecord("S", 7, 1, 177, "fibered"),
     "GramMatrix2": lambda: GramMatrix2(4, 10),
     "TraceRecord": lambda: TraceRecord(7, 127, 1),
-    "MapIdentityReport": lambda: MapIdentityReport(True, ()),
-    "GroupReport": lambda: GroupReport(1, (identity_map().normalized(),)),
     "LemmaReport": lambda: LemmaReport(1, 3, 2, 1, ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
                                        (("alpha", 35),)),
     "IdentificationResult": lambda: IdentificationResult(0, "unique", (7, 13), {7: 2, 13: 3}),
@@ -76,13 +73,13 @@ def test_to_json(name, expected):
 def test_defaults_methods_and_properties():
     assert TraceRecord(7, 127, 1)._fields == ("p", "t2", "residue")
     assert LemmaReport(1, 3, 2, 1, ()).families == ()
-    assert IdentificationResult(None, "no_match", (7,), {}).note == ""
     # no shared default: every caller passes its own embedding choices
     with pytest.raises(TypeError):
         IdentificationResult(None, "no_match", (7,))
+    assert IdentificationResult._fields == (
+        "match", "status", "checked_primes", "embedding_choices")
     g = GramMatrix2(4, 10)
     assert g.h2h2 == 3 and (g.h2T, g.TT) == (4, 10)
-    assert LocalFactor(7, 2, (1, 13, 49)).degree == 2
 
 
 def test_validation_runs_on_keyword_construction():

@@ -72,6 +72,18 @@ def test_work_counts_read_the_counters_real_arguments(monkeypatch):
     assert all(type(v) is int and v > 0 for v in work.values())
 
 
+def _run_traced(tmp_path, line):
+    """The trace that bench/tracer.py writes for one cfz command line."""
+    out = tmp_path / "trace.json"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, TRACER, str(out), *line.split()],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path, "CFZ_CACHE": os.devnull})
+    assert r.returncode == 0, r.stderr
+    with open(out, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("line", [
     "count --variety builtin:S --ext 2 --primes 5,7 --method generic --no-cache",
     "verify --suite all --primes 5..13",
@@ -80,13 +92,15 @@ def test_a_traced_oracle_command_writes_its_trace(tmp_path, line):
     # the benchmark's traced oracle-verify run: the tracer opens its output
     # before work_counts reads the counters' arguments, so any exception
     # there leaves an empty trace, which the benchmark cannot load
-    out = tmp_path / "trace.json"
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, TRACER, str(out), *line.split()],
-                       capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path, "CFZ_CACHE": os.devnull})
-    assert r.returncode == 0, r.stderr
-    with open(out, encoding="utf-8") as fh:
-        trace = json.load(fh)
+    trace = _run_traced(tmp_path, line)
     assert any(span[0] == "cli.main" for span in trace["spans"])
     assert trace["work"]["generic_evals"] > 0
+
+
+def test_a_traced_automorphism_suite_counts_its_closures(tmp_path):
+    # the per-layer metric fourfold.preserves_cubic.calls: three closures,
+    # each checking its generators (2, 6 and 1) and then its elements (6,
+    # 216 and 1) against the cubic
+    calls = _run_traced(tmp_path, "verify --suite automorphisms")["calls"]
+    assert calls["fourfold.automorphism_subgroup"] == 3
+    assert calls["fourfold.preserves_cubic"] == 232

@@ -168,7 +168,7 @@ def test_local_factor_constant_term_guard():
 def test_assemble_factors_structure():
     factors = assemble_fourfold_factors(7, -13, 20)
     assert [f.weight for f in factors] == [0, 2, 4, 6, 8]
-    assert [f.degree for f in factors] == [1, 1, 23, 1, 1]
+    assert [len(f.coeffs) - 1 for f in factors] == [1, 1, 23, 1, 1]
     assert all(f.coeffs[0] == 1 for f in factors)
     p4 = factors[2]
     assert p4.coeffs[1] == -(21 * 49 - 7 * 13)  # sum of inverse roots on H^4
